@@ -5,30 +5,47 @@ corrupt, processes die mid-write, and a million-site run cannot afford to
 discover that at analysis time.  This module gives
 :class:`~repro.crawler.storage.CrawlStore` the same property:
 
-* every visit saved carries a CRC-32 checksum over its canonical record
-  encoding (``zlib.crc32``, the same salt-free digest
+* every visit saved carries a CRC-32 checksum over the exact values it
+  writes to its ``visits``, ``frames``, ``calls``, ``scripts`` and
+  ``prompts`` rows (``zlib.crc32``, the same salt-free digest
   :mod:`repro.browser.scripts` uses, so checksums are identical across
   processes and runs);
 * :meth:`CrawlStore.verify() <repro.crawler.storage.CrawlStore.verify>`
-  recomputes every checksum from the stored rows and reports rows that
-  fail to decode or no longer match;
+  rehashes the stored rows as they are read back, with no decoding, and
+  decodes only the visits whose hash no longer matches, to report them
+  as ``decode-error`` or ``checksum-mismatch``;
 * with ``repair=True`` the corrupt rows move into a ``quarantine`` table
   — preserved for forensics, out of the analysed dataset — so
   ``load_dataset`` keeps working with counted warnings instead of
   crashing.
 
-The canonical encoding is the JSONL export dict serialized with sorted
-keys and no whitespace: it covers the visit row *and* all child rows
-(frames, calls, scripts, prompts) in insertion order, so a bit flip in
-any table, a truncated value, or a lost child row all surface as a
-mismatch.
+The hashed bytes (schema 4) are the :mod:`marshal` version 2 encoding
+of one tuple of row tuples: the visit row without its checksum column,
+then the visit's frames, calls, scripts and prompts rows, each table in
+insertion order (``ORDER BY rowid``).  Every value carries a type code,
+so ``None``, ``'None'``, ``1``, ``'1'``, ``1.0`` and ``b'1'`` all encode
+differently, and a bit flip in any column of any table, a lost,
+duplicated, moved or reordered child row, or a changed storage type all
+surface as a mismatch.  Version 2 is pinned because it has no
+back-references (those came with version 3), so the bytes depend only on
+the values, never on object identity or interning, hash salt or the
+process; unlike ``repr()`` or ``ascii()`` it copies strings without
+escaping them, which keeps hashing a small share of save and verify.
+
+Schema 3 stores hashed a sorted-key JSON encoding of the decoded visit
+instead (:func:`canonical_visit_bytes`).  Opening one migrates it in
+place: each checksummed visit is checked once under that rule, and only
+a visit that passes is rehashed under the row rule, so rows that were
+already corrupt stay flagged.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import zlib
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.crawler.records import SiteVisit
 
@@ -39,12 +56,13 @@ MISSING_CHECKSUM = "missing-checksum"
 
 
 def canonical_visit_bytes(visit: SiteVisit) -> bytes:
-    """The canonical byte encoding of one visit record.
+    """The canonical byte encoding of one decoded visit record.
 
     Sorted keys + compact separators + ASCII escapes make the encoding
     independent of dict ordering, locale and interpreter defaults; the
-    child records ride along in insertion order, which the store restores
-    via ``ORDER BY rowid``.
+    child records ride along in insertion order.  Schema 3 checksummed
+    this encoding; it remains the way to compare decoded visits byte for
+    byte.
     """
     from repro.crawler.storage import _visit_to_dict
     return json.dumps(_visit_to_dict(visit), sort_keys=True,
@@ -52,9 +70,15 @@ def canonical_visit_bytes(visit: SiteVisit) -> bytes:
                       ).encode("ascii")
 
 
-def visit_checksum(visit: SiteVisit) -> int:
-    """CRC-32 of the canonical encoding (unsigned, fits SQLite INTEGER)."""
-    return zlib.crc32(canonical_visit_bytes(visit))
+def visit_checksum(rows: Iterable[tuple]) -> int:
+    """CRC-32 of one visit's stored rows (unsigned, fits SQLite INTEGER).
+
+    ``rows`` is the visit row without its checksum column followed by
+    the visit's frames, calls, scripts and prompts rows, each table in
+    insertion order: the values bound on save, the values read back on
+    verify.
+    """
+    return zlib.crc32(marshal.dumps(tuple(rows), 2))
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,17 @@ analyses can run without re-crawling.
 
 On-disk data is treated as untrusted (DESIGN.md §4g):
 
-* every visit row carries a CRC-32 over its canonical record encoding
-  (:mod:`repro.crawler.integrity`), written at save time;
-* :meth:`CrawlStore.verify` recomputes all checksums and, with
-  ``repair=True``, moves corrupt rows into a ``quarantine`` table;
+* every visit row carries a CRC-32 over the exact values written to its
+  ``visits``, ``frames``, ``calls``, ``scripts`` and ``prompts`` rows
+  (:mod:`repro.crawler.integrity`), computed once per visit at save time;
+* :meth:`CrawlStore.verify` rehashes the raw rows (one scan per table,
+  no decoding of clean visits) and, with ``repair=True``, moves corrupt
+  rows into a ``quarantine`` table;
+* the layout version is recorded in ``PRAGMA user_version``; a schema 3
+  store, whose checksums hashed a JSON encoding of the decoded visit, is
+  rehashed in place on open, and a visit that already failed its old
+  checksum keeps it, so the next :meth:`CrawlStore.verify` still flags
+  it;
 * loading tolerates partially written or corrupt databases: orphan child
   rows *and* rows that fail to decode are skipped with counted warnings
   so checkpoint/resume (and analysis of a damaged store) never crashes.
@@ -28,8 +35,11 @@ import os
 import sqlite3
 import threading
 import time
+import zlib
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -38,6 +48,7 @@ from repro.crawler.integrity import (
     DECODE_ERROR,
     CorruptRow,
     VerifyReport,
+    canonical_visit_bytes,
     visit_checksum,
 )
 from repro.crawler.pool import CrawlDataset
@@ -52,11 +63,12 @@ from repro.crawler.records import (
 
 logger = logging.getLogger(__name__)
 
-#: Version of the on-disk layout below.  Bump on any change to tables,
-#: columns or row encoding; the measurement cache
-#: (:mod:`repro.experiments.runner`) keys its manifests on this value so
-#: stale checkpoints are re-crawled instead of misread.
-SCHEMA_VERSION = 3
+#: Version of the on-disk layout below, stored as ``PRAGMA user_version``.
+#: Bump on any change to tables, columns, row encoding or checksum rule;
+#: the measurement cache (:mod:`repro.experiments.runner`) keys its
+#: manifests on this value so stale checkpoints are re-crawled instead of
+#: misread.  4: checksums hash the stored row values.
+SCHEMA_VERSION = 4
 
 #: Maximum parameters per ``IN (...)`` clause; SQLite's default variable
 #: limit is 999, so stay comfortably below it.
@@ -130,6 +142,18 @@ _VISIT_COLUMNS = ("rank, requested_url, final_url, success, failure, "
                   "iframe_load_failures, duration_seconds, retries, "
                   "error_detail")
 
+#: Child tables in checksum order, with explicit column lists: ``SELECT *``
+#: would depend on physical column order, which differs between a freshly
+#: created table and one that grew columns via ALTER TABLE migrations.
+_CHILD_COLUMNS = {
+    "frames": "rank, frame_id, url, origin, site, parent_id, depth, "
+              "is_local, headers, iframe_attributes",
+    "calls": "rank, frame_id, api, kind, permissions, args, script_url, "
+             "allowed",
+    "scripts": "rank, frame_id, url, source",
+    "prompts": "rank, frame_id, permission, display_site, text",
+}
+
 
 def _visit_from_row(row: tuple) -> SiteVisit:
     return SiteVisit(
@@ -166,6 +190,20 @@ def _prompt_from_row(row: tuple) -> PromptRecord:
     return PromptRecord(
         permission=row[2], requesting_frame_id=row[1],
         display_site=row[3], text=row[4])
+
+
+#: Per child table: row decoder and the visit list its records join.
+_CHILD_DECODERS = {
+    "frames": (_frame_from_row, lambda visit: visit.frames),
+    "calls": (_call_from_row, lambda visit: visit.calls),
+    "scripts": (_script_from_row, lambda visit: visit.scripts),
+    "prompts": (_prompt_from_row, lambda visit: visit.prompts),
+}
+
+
+def _user_version(conn: sqlite3.Connection) -> int:
+    return conn.execute("PRAGMA user_version").fetchone()[0]
+
 
 #: Columns added after the original schema shipped; existing checkpoint
 #: databases are migrated in place on open.
@@ -219,13 +257,43 @@ class CrawlStore:
         self.last_corrupt_counts: dict[str, int] = {}
 
     def _migrate(self) -> None:
-        columns = {row[1] for row in
-                   self._conn.execute("PRAGMA table_info(visits)")}
+        conn = self._conn
+        columns = {row[1] for row in conn.execute("PRAGMA table_info(visits)")}
         for name, spec in _VISITS_MIGRATIONS:
             if name not in columns:
-                self._conn.execute(
-                    f"ALTER TABLE visits ADD COLUMN {name} {spec}")
-        self._conn.commit()
+                conn.execute(f"ALTER TABLE visits ADD COLUMN {name} {spec}")
+        conn.commit()
+        if _user_version(conn) >= SCHEMA_VERSION:
+            return
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            # Another connection may have migrated while this one waited.
+            if _user_version(conn) < SCHEMA_VERSION:
+                self._rehash_v3_checksums()
+                conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+            conn.commit()
+        except BaseException:
+            conn.rollback()
+            raise
+
+    def _rehash_v3_checksums(self) -> None:
+        """Schema 3 → 4: rehash every visit that passes its old checksum.
+
+        The only place the schema 3 rule (CRC-32 of the decoded visit's
+        canonical JSON) still runs.  A visit that fails to decode or to
+        match keeps its old value, so the next :meth:`verify` flags it
+        instead of laundering the corruption.  Caller holds the write
+        transaction.
+        """
+        rows_by_rank, stored = self._rows_by_rank()
+        checksummed = [rank for rank, checksum in stored.items()
+                       if checksum is not None]
+        visits = self._decode_visits(checksummed, {})
+        self._conn.executemany(
+            "UPDATE visits SET checksum = ? WHERE rank = ?",
+            [(visit_checksum(rows_by_rank[rank]), rank)
+             for rank, visit in visits.items()
+             if zlib.crc32(canonical_visit_bytes(visit)) == stored[rank]])
 
     def flush(self) -> None:
         """Commit and checkpoint the WAL into the main database file.
@@ -250,63 +318,21 @@ class CrawlStore:
     # -- writing ---------------------------------------------------------------
 
     def save_visit(self, visit: SiteVisit) -> None:
-        """Persist one visit (incremental, mirroring C14).  Thread-safe."""
-        checksum = visit_checksum(visit)
-        with self._lock:
-            conn = self._conn
-            conn.execute(
-                f"INSERT OR REPLACE INTO visits ({_VISIT_COLUMNS}, checksum) "
-                "VALUES (?,?,?,?,?,?,?,?,?,?,?,?)",
-                (visit.rank, visit.requested_url, visit.final_url,
-                 int(visit.success), visit.failure,
-                 visit.top_level_document_count, visit.skipped_lazy_iframes,
-                 visit.iframe_load_failures, visit.duration_seconds,
-                 visit.retries, visit.error_detail, checksum))
-            # A freshly saved rank supersedes any quarantined wreckage.
-            conn.execute("DELETE FROM quarantine WHERE rank = ?",
-                         (visit.rank,))
-            conn.execute("DELETE FROM frames WHERE rank = ?", (visit.rank,))
-            conn.execute("DELETE FROM calls WHERE rank = ?", (visit.rank,))
-            conn.execute("DELETE FROM scripts WHERE rank = ?", (visit.rank,))
-            conn.execute("DELETE FROM prompts WHERE rank = ?", (visit.rank,))
-            conn.executemany(
-                "INSERT INTO frames VALUES (?,?,?,?,?,?,?,?,?,?)",
-                [(visit.rank, f.frame_id, f.url, f.origin, f.site, f.parent_id,
-                  f.depth, int(f.is_local), json.dumps(f.headers),
-                  json.dumps(f.iframe_attributes)
-                  if f.iframe_attributes is not None else None)
-                 for f in visit.frames])
-            conn.executemany(
-                "INSERT INTO calls VALUES (?,?,?,?,?,?,?,?)",
-                [(visit.rank, c.frame_id, c.api, c.kind,
-                  json.dumps(list(c.permissions)), json.dumps(list(c.args)),
-                  c.script_url, int(c.allowed))
-                 for c in visit.calls])
-            conn.executemany(
-                "INSERT INTO scripts VALUES (?,?,?,?)",
-                [(visit.rank, s.frame_id, s.url, s.source)
-                 for s in visit.scripts])
-            conn.executemany(
-                "INSERT INTO prompts VALUES (?,?,?,?,?)",
-                [(visit.rank, p.requesting_frame_id, p.permission,
-                  p.display_site, p.text)
-                 for p in visit.prompts])
-            conn.commit()
-        if _metrics.COUNTING:
-            _metrics.REGISTRY.counter("store.visits_saved").inc()
+        """Persist one visit (incremental, mirroring C14): a one-visit
+        :meth:`save_visits`.  Thread-safe."""
+        self.save_visits((visit,))
 
     def save_visits(self, visits: Iterable[SiteVisit], *,
                     chunk_size: int = 256) -> int:
         """Persist many visits with one transaction per ``chunk_size`` chunk.
 
-        The batched counterpart of :meth:`save_visit` — same row encoding,
-        same checksum, same quarantine/supersede semantics — but child rows
-        are written with one ``executemany`` per table per chunk and a
-        single commit per chunk instead of a commit per visit.  This is the
-        pool's hot path at scale; per-visit commits dominate the store
-        stage otherwise.  Accepts any iterable (including a generator, so a
-        whole shard can stream through).  Thread-safe.  Returns the number
-        of visits written.
+        Each rank saved supersedes its stored rows and any quarantine
+        entry.  Child rows are written with one ``executemany`` per table
+        per chunk and a single commit per chunk instead of a commit per
+        visit.  This is the pool's hot path at scale; per-visit commits
+        dominate the store stage otherwise.  Accepts any iterable
+        (including a generator, so a whole shard can stream through).
+        Thread-safe.  Returns the number of visits written.
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -330,13 +356,24 @@ class CrawlStore:
 
         Child rows of each visit stay contiguous in the ``executemany``
         argument lists, so rowid order within one rank still equals
-        insertion order — the invariant :meth:`_attach_children` relies on.
+        insertion order — the invariant :meth:`_attach_children` and the
+        checksum rely on.
 
-        Checksums and row encoding (the ``json.dumps``-heavy argument
-        lists) happen *before* the writer lock is taken: they dominate the
-        save's CPU cost and need no connection state, so under a threaded
-        pool several workers encode concurrently while only the SQLite
-        calls themselves serialize.
+        Each visit is encoded once: its checksum
+        (:func:`~repro.crawler.integrity.visit_checksum`) is taken over the
+        very row tuples bound to the ``INSERT`` statements.  Every value is
+        bound as the type its column stores (``float`` for
+        ``duration_seconds``, ``int`` for flags), so the rows
+        :meth:`verify` reads back hash the same.  Encoding happens
+        *before* the writer lock is taken: it dominates the save's CPU
+        cost and needs no connection state, so under a threaded pool
+        several workers encode concurrently while only the SQLite calls
+        themselves serialize.
+
+        Any exception inside the locked section rolls the transaction
+        back, so a failed chunk (a rank given twice hits the ``frames``
+        primary key, say) leaves none of its deletes or rows behind for
+        the next commit to persist.
 
         When metrics are on, the writer thread's *CPU* time inside the
         lock is recorded in the ``store.write_seconds`` histogram
@@ -346,54 +383,69 @@ class CrawlStore:
         lock-wait once per blocked worker — to the store.  Thread CPU time
         is exactly the work the store itself costs.
         """
-        checksums = [visit_checksum(visit) for visit in chunk]
-        rank_params = [(visit.rank,) for visit in chunk]
-        visit_rows = [
-            (visit.rank, visit.requested_url, visit.final_url,
-             int(visit.success), visit.failure,
-             visit.top_level_document_count, visit.skipped_lazy_iframes,
-             visit.iframe_load_failures, visit.duration_seconds,
-             visit.retries, visit.error_detail, checksum)
-            for visit, checksum in zip(chunk, checksums)]
-        frame_rows = [
-            (visit.rank, f.frame_id, f.url, f.origin, f.site,
-             f.parent_id, f.depth, int(f.is_local),
-             json.dumps(f.headers),
-             json.dumps(f.iframe_attributes)
-             if f.iframe_attributes is not None else None)
-            for visit in chunk for f in visit.frames]
-        call_rows = [
-            (visit.rank, c.frame_id, c.api, c.kind,
-             json.dumps(list(c.permissions)), json.dumps(list(c.args)),
-             c.script_url, int(c.allowed))
-            for visit in chunk for c in visit.calls]
-        script_rows = [
-            (visit.rank, s.frame_id, s.url, s.source)
-            for visit in chunk for s in visit.scripts]
-        prompt_rows = [
-            (visit.rank, p.requesting_frame_id, p.permission,
-             p.display_site, p.text)
-            for visit in chunk for p in visit.prompts]
+        rank_params = []
+        visit_rows = []
+        frame_rows: list[tuple] = []
+        call_rows: list[tuple] = []
+        script_rows: list[tuple] = []
+        prompt_rows: list[tuple] = []
+        for visit in chunk:
+            rank = visit.rank
+            frames = [
+                (rank, f.frame_id, f.url, f.origin, f.site, f.parent_id,
+                 f.depth, int(f.is_local), json.dumps(f.headers),
+                 json.dumps(f.iframe_attributes)
+                 if f.iframe_attributes is not None else None)
+                for f in visit.frames]
+            calls = [
+                (rank, c.frame_id, c.api, c.kind,
+                 json.dumps(list(c.permissions)), json.dumps(list(c.args)),
+                 c.script_url, int(c.allowed))
+                for c in visit.calls]
+            scripts = [(rank, s.frame_id, s.url, s.source)
+                       for s in visit.scripts]
+            prompts = [(rank, p.requesting_frame_id, p.permission,
+                        p.display_site, p.text)
+                       for p in visit.prompts]
+            row = (rank, visit.requested_url, visit.final_url,
+                   int(visit.success), visit.failure,
+                   visit.top_level_document_count,
+                   visit.skipped_lazy_iframes, visit.iframe_load_failures,
+                   # + 0.0 folds -0.0, which SQLite reads back as 0.0.
+                   float(visit.duration_seconds) + 0.0, visit.retries,
+                   visit.error_detail)
+            checksum = visit_checksum((row, *frames, *calls, *scripts,
+                                       *prompts))
+            rank_params.append((rank,))
+            visit_rows.append((*row, checksum))
+            frame_rows += frames
+            call_rows += calls
+            script_rows += scripts
+            prompt_rows += prompts
         with self._lock:
             start = time.thread_time() if _metrics.COUNTING else 0.0
             conn = self._conn
-            for table in ("quarantine", "frames", "calls", "scripts",
-                          "prompts"):
+            try:
+                for table in ("quarantine", *_CHILD_COLUMNS):
+                    conn.executemany(
+                        f"DELETE FROM {table} WHERE rank = ?",  # noqa: S608
+                        rank_params)
                 conn.executemany(
-                    f"DELETE FROM {table} WHERE rank = ?",  # noqa: S608
-                    rank_params)
-            conn.executemany(
-                f"INSERT OR REPLACE INTO visits ({_VISIT_COLUMNS}, checksum) "
-                "VALUES (?,?,?,?,?,?,?,?,?,?,?,?)", visit_rows)
-            conn.executemany(
-                "INSERT INTO frames VALUES (?,?,?,?,?,?,?,?,?,?)", frame_rows)
-            conn.executemany(
-                "INSERT INTO calls VALUES (?,?,?,?,?,?,?,?)", call_rows)
-            conn.executemany(
-                "INSERT INTO scripts VALUES (?,?,?,?)", script_rows)
-            conn.executemany(
-                "INSERT INTO prompts VALUES (?,?,?,?,?)", prompt_rows)
-            conn.commit()
+                    f"INSERT OR REPLACE INTO visits ({_VISIT_COLUMNS}, "
+                    "checksum) VALUES (?,?,?,?,?,?,?,?,?,?,?,?)", visit_rows)
+                conn.executemany(
+                    "INSERT INTO frames VALUES (?,?,?,?,?,?,?,?,?,?)",
+                    frame_rows)
+                conn.executemany(
+                    "INSERT INTO calls VALUES (?,?,?,?,?,?,?,?)", call_rows)
+                conn.executemany(
+                    "INSERT INTO scripts VALUES (?,?,?,?)", script_rows)
+                conn.executemany(
+                    "INSERT INTO prompts VALUES (?,?,?,?,?)", prompt_rows)
+                conn.commit()
+            except BaseException:
+                conn.rollback()
+                raise
             if _metrics.COUNTING:
                 _metrics.REGISTRY.histogram("store.write_seconds").observe(
                     time.thread_time() - start)
@@ -478,33 +530,21 @@ class CrawlStore:
                          ) -> None:
         """Attach frame/call/script/prompt rows to their visits.
 
-        ``ORDER BY rowid`` restores per-visit record order: ``save_visit``
+        ``ORDER BY rowid`` restores per-visit record order: ``save_visits``
         writes each visit's child rows contiguously, so rowid order within
         one rank equals insertion order even when chunks were saved
         out of rank order.
 
         With ``corrupt`` given, rows that fail to decode are skipped and
         counted per table instead of raising; ``corrupt_ranks`` (used by
-        :meth:`verify`) additionally records which rank each decode
-        failure belongs to.
+        :meth:`_decode_visits`) additionally records which rank each
+        decode failure belongs to.
         """
         conn = self._conn
-        tables = (
-            ("frames", "SELECT rank, frame_id, url, origin, site, parent_id, "
-             "depth, is_local, headers, iframe_attributes FROM frames",
-             _frame_from_row, lambda visit: visit.frames),
-            ("calls", "SELECT rank, frame_id, api, kind, permissions, args, "
-             "script_url, allowed FROM calls",
-             _call_from_row, lambda visit: visit.calls),
-            ("scripts", "SELECT rank, frame_id, url, source FROM scripts",
-             _script_from_row, lambda visit: visit.scripts),
-            ("prompts", "SELECT rank, frame_id, permission, display_site, "
-             "text FROM prompts",
-             _prompt_from_row, lambda visit: visit.prompts),
-        )
-        for table, select, from_row, records_of in tables:
-            for row in conn.execute(f"{select}{where} ORDER BY rowid",
-                                    params):
+        for table, (from_row, records_of) in _CHILD_DECODERS.items():
+            for row in conn.execute(
+                    f"SELECT {_CHILD_COLUMNS[table]} FROM {table}{where} "
+                    "ORDER BY rowid", params):
                 visit = by_rank.get(row[0])
                 if visit is None:
                     orphans[table] += 1
@@ -602,18 +642,6 @@ class CrawlStore:
                 "— partially written checkpoint?", detail, self.path)
         self._warn_corrupt(corrupt)
 
-    #: Explicit column lists for the ATTACH merge: ``SELECT *`` would
-    #: depend on physical column order, which differs between a freshly
-    #: created table and one that grew columns via ALTER TABLE migrations.
-    _MERGE_CHILD_COLUMNS = {
-        "frames": "rank, frame_id, url, origin, site, parent_id, depth, "
-                  "is_local, headers, iframe_attributes",
-        "calls": "rank, frame_id, api, kind, permissions, args, "
-                 "script_url, allowed",
-        "scripts": "rank, frame_id, url, source",
-        "prompts": "rank, frame_id, permission, display_site, text",
-    }
-
     def merge_from(self, other: "CrawlStore", *,
                    chunk_size: int = 256) -> int:
         """Merge every visit of ``other`` into this store.
@@ -655,8 +683,7 @@ class CrawlStore:
             try:
                 count = conn.execute(
                     "SELECT COUNT(*) FROM merge_src.visits").fetchone()[0]
-                for table in ("quarantine", "frames", "calls", "scripts",
-                              "prompts"):
+                for table in ("quarantine", *_CHILD_COLUMNS):
                     conn.execute(
                         f"DELETE FROM {table} WHERE rank IN "  # noqa: S608
                         "(SELECT rank FROM merge_src.visits)")
@@ -664,7 +691,7 @@ class CrawlStore:
                     f"INSERT OR REPLACE INTO visits ({_VISIT_COLUMNS}, "
                     f"checksum) SELECT {_VISIT_COLUMNS}, checksum "
                     "FROM merge_src.visits ORDER BY rank")
-                for table, columns in self._MERGE_CHILD_COLUMNS.items():
+                for table, columns in _CHILD_COLUMNS.items():
                     conn.execute(
                         f"INSERT INTO {table} ({columns}) "  # noqa: S608
                         f"SELECT {columns} FROM merge_src.{table} "
@@ -808,53 +835,52 @@ class CrawlStore:
     # -- integrity ---------------------------------------------------------------
 
     def verify(self, *, repair: bool = False) -> VerifyReport:
-        """Recompute every visit checksum against the stored rows.
+        """Rehash every visit's stored rows against its checksum.
 
-        Returns a :class:`~repro.crawler.integrity.VerifyReport`.  Rows
-        written before the checksum column existed count as ``legacy``
-        (unverifiable, not corrupt).  With ``repair=True`` corrupt rows
-        are moved into the ``quarantine`` table — their raw values are
-        preserved there as a JSON payload for forensics — so subsequent
-        :meth:`load_dataset` calls see a clean store.
+        One scan per table (``ORDER BY rowid``), grouped by rank: a clean
+        visit is hashed from its raw rows and never decoded.  Only a
+        visit whose hash mismatches is decoded, to report it as
+        ``decode-error`` (with the first failure) or ``checksum-mismatch``.
+        Rows written before the checksum column existed count as
+        ``legacy`` (unverifiable, not corrupt) unless they fail to
+        decode.  Returns a
+        :class:`~repro.crawler.integrity.VerifyReport`.  With
+        ``repair=True`` corrupt rows are moved into the ``quarantine``
+        table — their raw values are preserved there as a JSON payload
+        for forensics — so subsequent :meth:`load_dataset` calls see a
+        clean store.
         """
         report = VerifyReport(path=str(self.path))
-        corrupt_ranks: dict[int, str] = {}
         with self._lock:
             conn = self._conn
             row = conn.execute("SELECT COUNT(*) FROM quarantine").fetchone()
             report.previously_quarantined = int(row[0])
-            by_rank: dict[int, SiteVisit] = {}
-            checksums: dict[int, "int | None"] = {}
-            for row in conn.execute(
-                    f"SELECT {_VISIT_COLUMNS}, checksum FROM visits "
-                    "ORDER BY rank"):
-                report.total_rows += 1
-                try:
-                    by_rank[row[0]] = _visit_from_row(row)
-                    checksums[row[0]] = row[-1]
-                except Exception as exc:
-                    corrupt_ranks[row[0]] = _safe_text(
-                        f"visits: {type(exc).__name__}: {exc}")
-            self._attach_children(by_rank, Counter(), corrupt=Counter(),
-                                  corrupt_ranks=corrupt_ranks)
-            for rank in sorted(by_rank):
-                detail = corrupt_ranks.get(rank)
-                if detail is not None:
-                    continue  # reported below, once, as a decode error
-                stored = checksums[rank]
-                if stored is None:
-                    report.legacy_rows += 1
-                    continue
-                actual = visit_checksum(by_rank[rank])
-                if actual == stored:
-                    report.verified_rows += 1
-                else:
+            rows_by_rank, stored = self._rows_by_rank()
+            report.total_rows = len(stored)
+            recomputed: dict[int, int] = {}
+            suspects: list[int] = []
+            for rank, rows in rows_by_rank.items():
+                checksum = stored[rank]
+                if checksum is not None:
+                    actual = visit_checksum(rows)
+                    if actual == checksum:
+                        report.verified_rows += 1
+                        continue
+                    recomputed[rank] = actual
+                suspects.append(rank)
+            errors: dict[int, str] = {}
+            self._decode_visits(suspects, errors)
+            for rank in suspects:
+                if rank in errors:
+                    report.corrupt.append(
+                        CorruptRow(rank, DECODE_ERROR, errors[rank]))
+                elif rank in recomputed:
                     report.corrupt.append(CorruptRow(
                         rank, CHECKSUM_MISMATCH,
-                        f"stored {stored}, recomputed {actual}"))
-            for rank, detail in corrupt_ranks.items():
-                report.corrupt.append(CorruptRow(rank, DECODE_ERROR, detail))
-            report.corrupt.sort(key=lambda bad: bad.rank)
+                        f"stored {stored[rank]}, recomputed "
+                        f"{recomputed[rank]}"))
+                else:
+                    report.legacy_rows += 1
             if repair and report.corrupt:
                 for bad in report.corrupt:
                     self._quarantine_rank(bad)
@@ -869,6 +895,57 @@ class CrawlStore:
                 registry.counter("store.quarantined_rows").inc(
                     report.quarantined)
         return report
+
+    def _rows_by_rank(self) -> "tuple[dict[int, list], dict[int, int | None]]":
+        """Every visit's raw rows in checksum order, and its checksum.
+
+        Both maps are keyed by rank in rank order; a visit's list holds
+        its ``visits`` row without the checksum column, then its
+        ``frames``, ``calls``, ``scripts`` and ``prompts`` rows in rowid
+        order.  Child rows whose rank has no ``visits`` row are left out.
+        Caller holds the lock.
+        """
+        conn = self._conn
+        rows_by_rank: dict[int, list[tuple]] = {}
+        stored: dict[int, "int | None"] = {}
+        for row in conn.execute(f"SELECT {_VISIT_COLUMNS}, checksum "
+                                "FROM visits ORDER BY rank"):
+            rows_by_rank[row[0]] = [row[:-1]]
+            stored[row[0]] = row[-1]
+        for table, columns in _CHILD_COLUMNS.items():
+            # A visit's child rows are contiguous in rowid order, so
+            # grouping runs of one rank touches the dict once per run.
+            for rank, run in groupby(conn.execute(
+                    f"SELECT {columns} FROM {table} "  # noqa: S608
+                    "ORDER BY rowid"), itemgetter(0)):
+                rows = rows_by_rank.get(rank)
+                if rows is not None:
+                    rows.extend(run)
+        return rows_by_rank, stored
+
+    def _decode_visits(self, ranks: list[int],
+                       errors: dict[int, str]) -> dict[int, SiteVisit]:
+        """Decode the given ranks, keyed by rank.
+
+        A rank whose rows fail to decode is left out and mapped in
+        ``errors`` to its first failure (visit row first, then child
+        tables in checksum order).  Caller holds the lock.
+        """
+        by_rank: dict[int, SiteVisit] = {}
+        for start in range(0, len(ranks), _SQL_IN_CHUNK):
+            chunk = ranks[start:start + _SQL_IN_CHUNK]
+            where = f" WHERE rank IN ({','.join('?' * len(chunk))})"
+            for row in self._conn.execute(
+                    f"SELECT {_VISIT_COLUMNS} FROM visits{where}", chunk):
+                try:
+                    by_rank[row[0]] = _visit_from_row(row)
+                except Exception as exc:
+                    errors[row[0]] = _safe_text(
+                        f"visits: {type(exc).__name__}: {exc}")
+            self._attach_children(by_rank, Counter(), where, tuple(chunk),
+                                  corrupt=Counter(), corrupt_ranks=errors)
+        return {rank: visit for rank, visit in by_rank.items()
+                if rank not in errors}
 
     def _quarantine_rank(self, bad: CorruptRow) -> None:
         """Move one corrupt rank out of the live tables (caller commits)."""
