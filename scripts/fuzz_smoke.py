@@ -9,7 +9,7 @@ Three stages (DESIGN.md §4g), any failure exits non-zero:
 2. **Pipeline differential** — a hostile crawl (megabyte headers,
    100-deep iframe chains, oversized scripts) through
    generate → crawl → store → verify → index → summarize for each seed;
-   serial, thread and process backends must produce byte-identical
+   serial and process backends must produce byte-identical
    datasets and the clean store must verify with zero corrupt rows.
 3. **Bit-flip drill** — rows of a stored hostile crawl are corrupted in
    place; ``CrawlStore.verify`` must detect 100 % of them,
@@ -77,14 +77,13 @@ def pipeline_differential(seed: int, sites: int, payload_bytes: int,
     config = CrawlConfig(guards=GUARDS)
     encodings = {}
     dataset = None
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         pool = CrawlerPool(web, workers=2, backend=backend, config=config,
                            fetcher_spec=spec)
         dataset = pool.run(range(sites))
         encodings[backend] = [canonical_visit_bytes(visit)
                               for visit in dataset.visits]
-    if not (encodings["serial"] == encodings["thread"]
-            == encodings["process"]):
+    if encodings["serial"] != encodings["process"]:
         raise AssertionError(f"seed {seed}: backends diverged on hostile "
                              f"input")
     path = workdir / f"hostile-{seed}.sqlite"
@@ -158,7 +157,7 @@ def main(argv: "list[str] | None" = None) -> int:
             store_path = pipeline_differential(
                 seed, args.sites, args.payload_bytes, workdir)
             print(f"pipeline differential: seed {seed}, {args.sites} "
-                  f"sites — serial/thread/process byte-identical, store "
+                  f"sites — serial/process byte-identical, store "
                   f"verifies clean")
         report, flipped = bit_flip_drill(store_path)
         print(f"bit-flip drill: {flipped}/{flipped} corrupt rows "

@@ -5,9 +5,9 @@
 * ``crawl`` — run the measurement crawl over the synthetic web, persisting
   each visit to SQLite as it completes; ``--resume`` continues from the
   checkpoint, ``--retries`` re-attempts transient failures,
-  ``--progress`` streams crawl telemetry, and ``--shards N`` with
-  ``--no-collect`` runs paper-scale crawls in bounded memory;
-* ``merge-stores`` — merge shard crawl databases into one store;
+  ``--progress`` streams crawl telemetry, and ``--no-collect`` runs
+  paper-scale crawls in bounded memory;
+* ``merge-stores`` — merge crawl databases into one store;
 * ``diff-stores`` — streamed per-site + aggregate diff of two stored
   crawls (text, JSON or HTML);
 * ``drift-report`` — fold N stored crawls into a drift timeline and
@@ -84,18 +84,13 @@ def _build_parser() -> argparse.ArgumentParser:
     crawl.add_argument("--sites", type=int, default=5000)
     crawl.add_argument("--seed", type=int, default=2024)
     crawl.add_argument("--workers", type=int, default=4,
-                       help="worker threads or processes")
-    crawl.add_argument("--backend", choices=list(BACKENDS), default="auto",
+                       help="worker processes (process backend)")
+    crawl.add_argument("--backend", choices=list(BACKENDS), default="serial",
                        help="crawl execution backend; 'process' uses "
                             "multiple cores (results are identical)")
     crawl.add_argument("--database", default="crawl.sqlite")
     crawl.add_argument("--resume", action="store_true",
                        help="skip ranks already in the database checkpoint")
-    crawl.add_argument("--shards", type=int, default=1,
-                       help="partition the crawl into N contiguous shards, "
-                            "each persisted to a sidecar store and merged "
-                            "into --database as it completes (bounded "
-                            "memory; results identical to --shards 1)")
     crawl.add_argument("--no-collect", action="store_true",
                        help="do not keep visits in memory (the database is "
                             "the output); required for crawls larger than "
@@ -130,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="inject non-CrawlError crashes on this share "
                             "of fetches")
     telem.add_argument("--injection-seed", type=int, default=7)
-    telem.add_argument("--backend", choices=list(BACKENDS), default="auto")
+    telem.add_argument("--backend", choices=list(BACKENDS), default="serial")
     telem.add_argument("--trace-out", default=None, metavar="FILE",
                        help="enable tracing and write a Chrome trace_event "
                             "JSON file for the run")
@@ -142,7 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--sites", type=int, default=500)
     profile.add_argument("--seed", type=int, default=2024)
     profile.add_argument("--workers", type=int, default=4)
-    profile.add_argument("--backend", choices=list(BACKENDS), default="auto")
+    profile.add_argument("--backend", choices=list(BACKENDS),
+                         default="serial")
     profile.add_argument("--trace-out", default=None, metavar="FILE",
                          help="also write the Chrome trace_event JSON file")
     profile.add_argument("--json", action="store_true",
@@ -202,11 +198,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     merge = sub.add_parser(
         "merge-stores",
-        help="merge shard crawl databases into one store in rank order "
-             "(checksums recomputed; verify-store afterwards for a clean "
-             "bill of health)")
-    merge.add_argument("shards", nargs="+",
-                       help="shard database files to merge, in order")
+        help="merge crawl databases into one store in rank order "
+             "(verify-store afterwards for a clean bill of health)")
+    merge.add_argument("stores", nargs="+",
+                       help="crawl database files to merge, in order; a "
+                            "rank in several keeps the last file's copy")
     merge.add_argument("--into", required=True, metavar="DATABASE",
                        help="target crawl database (created if missing)")
 
@@ -365,7 +361,6 @@ def main(argv: list[str] | None = None) -> int:
                 dataset = pool.run(store=store, resume=args.resume,
                                    telemetry=telemetry, progress=progress,
                                    handle_signals=True,
-                                   shards=args.shards,
                                    collect=not args.no_collect,
                                    max_pool_rebuilds=args.max_pool_rebuilds)
         if pool.stop_requested:
@@ -401,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
             else ""
         print(f"crawled {attempted} sites "
               f"({ok} ok; {failures}{resumed_note}) "
-              f"via {pool.resolved_backend()} backend "
+              f"via {pool.backend} backend "
               f"at {snapshot.sites_per_second:.1f} sites/s "
               f"-> {args.database}")
         return 0
@@ -456,8 +451,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if command == "merge-stores":
         from repro.crawler.storage import merge_stores
-        count = merge_stores(args.into, args.shards)
-        print(f"merged {count} visits from {len(args.shards)} store(s) "
+        count = merge_stores(args.into, args.stores)
+        print(f"merged {count} visits from {len(args.stores)} store(s) "
               f"into {args.into}")
         return 0
 

@@ -1,10 +1,10 @@
 """Process-based crawl backend: warm persistent workers crawling rank chunks.
 
 The paper ran 40 genuinely parallel crawlers; our crawl is pure-Python
-CPU-bound work, so the thread backend gains nothing from extra workers (the
-GIL serialises them).  This module delivers real parallelism: the rank list
-is cut into contiguous chunks and each chunk is crawled by a worker
-*process* running an ordinary serial :class:`~repro.crawler.pool.CrawlerPool`.
+CPU-bound work, so threads would gain nothing from extra workers (the GIL
+serialises them).  This module delivers real parallelism: the rank list is
+cut into contiguous chunks and each chunk is crawled by a worker *process*
+running an ordinary serial :class:`~repro.crawler.pool.CrawlerPool`.
 
 Three mechanisms keep the workers fast (OpenWPM-style crawlers win by
 keeping long-lived browser workers hot, not by per-task process churn):
@@ -17,7 +17,7 @@ keeping long-lived browser workers hot, not by per-task process churn):
   changes, instead of once per chunk; the pool initializer also pre-warms
   the interned parser caches with one throwaway visit.
 
-* **Shard-local persistence.**  With ``store=``, chunk results no longer
+* **Sidecar persistence.**  With ``store=``, chunk results no longer
   ship full pickled :class:`~repro.crawler.records.SiteVisit` lists through
   the result pipe: the worker writes its chunk into a private SQLite
   sidecar (``<store>.wchunk-…``) via the batched
@@ -36,7 +36,7 @@ keeping long-lived browser workers hot, not by per-task process churn):
 
 Sites are pure functions of ``(seed, rank)``, so a worker needs only the
 web's constructor parameters and its chunk of ranks — no dataset is pickled
-into workers, and chunk results merge deterministically: serial, thread and
+into workers, and chunk results merge deterministically: serial and
 process runs produce byte-identical datasets.
 
 Because closures don't pickle, per-visit fetcher construction crosses the
@@ -357,9 +357,9 @@ class _ChunkJob:
     #: Position of this chunk in the run (names the worker "process" in
     #: traces and telemetry).
     chunk_index: int = 0
-    #: Sidecar database path for shard-local persistence; ``None`` ships
-    #: the visits through the result pipe instead.
-    shard_path: "str | None" = None
+    #: Sidecar database path the worker persists the chunk to; ``None``
+    #: ships the visits through the result pipe instead.
+    sidecar_path: "str | None" = None
     #: Whether the parent wants the visits back (protocol-5 pickle blob).
     collect: bool = True
     #: Whether the parent has tracing / metric collection on; the worker
@@ -377,13 +377,13 @@ class _ChunkResult:
 
     chunk_index: int
     ranks: tuple[int, ...]
-    #: Row checksums as stored in the sidecar (empty without a shard).
+    #: Row checksums as stored in the sidecar (empty without one).
     checksums: tuple[int, ...]
     #: Protocol-5 pickle of ``list[SiteVisit]`` when the job collected,
-    #: else ``None`` (shard-local handoff ships no visit payload at all).
+    #: else ``None`` (the sidecar handoff ships no visit payload at all).
     visits_blob: "bytes | None"
     #: Sidecar path the worker wrote (parent merges and deletes it).
-    shard_path: "str | None"
+    sidecar_path: "str | None"
     #: Worker-local telemetry delta for the chunk.
     telemetry: ChunkTelemetry
     #: Wall seconds the worker spent crawling — the scheduler's cost input.
@@ -429,20 +429,20 @@ def _crawl_chunk(job: _ChunkJob) -> _ChunkResult:
             visits = list(pool.run(job.ranks, telemetry=local).visits)
         seconds = time.perf_counter() - start
         checksums: tuple[int, ...] = ()
-        if job.shard_path is not None:
-            with CrawlStore(Path(job.shard_path)) as shard:
-                shard.save_visits(visits)
-                shard.flush()
+        if job.sidecar_path is not None:
+            with CrawlStore(Path(job.sidecar_path)) as sidecar:
+                sidecar.save_visits(visits)
+                sidecar.flush()
                 checksums = tuple(
                     checksum for _, checksum
-                    in sorted(shard.stored_checksums().items()))
+                    in sorted(sidecar.stored_checksums().items()))
         return _ChunkResult(
             chunk_index=job.chunk_index,
             ranks=job.ranks,
             checksums=checksums,
             visits_blob=(pickle.dumps(visits, protocol=5)
                          if job.collect else None),
-            shard_path=job.shard_path,
+            sidecar_path=job.sidecar_path,
             telemetry=ChunkTelemetry.from_snapshot(local.snapshot()),
             seconds=seconds,
             worker_pid=os.getpid(),
@@ -544,11 +544,17 @@ _RUN_SEQUENCE = itertools.count()
 
 
 def _chunk_sidecar_path(store_path: Path, run_tag: str, index: int) -> Path:
-    """Worker sidecar path: ``<store>.wchunk-<tag>-NNNN``.  Distinct from
-    the ``.shard-NNN`` suffix so :meth:`CrawlerPool.run(shards=)` resume
-    logic never mistakes a chunk sidecar for a shard checkpoint."""
+    """Worker sidecar path: ``<store>.wchunk-<tag>-NNNN``."""
     return store_path.with_name(
         f"{store_path.name}.wchunk-{run_tag}-{index:04d}")
+
+
+def _delete_sidecar(path: Path) -> None:
+    """Remove one chunk sidecar and its WAL/SHM files."""
+    for victim in (path, path.with_name(path.name + "-wal"),
+                   path.with_name(path.name + "-shm")):
+        with suppress(FileNotFoundError):
+            victim.unlink()
 
 
 def _sweep_chunk_sidecars(store_path: Path) -> None:
@@ -591,7 +597,7 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
 
     Chunks are dispatched incrementally on the adaptive schedule (at most
     ``workers + 1`` outstanding).  With ``store=``, each worker persists
-    its chunk shard-locally and the parent merges the sidecar — one
+    its chunk to a sidecar store and the parent merges it — one
     ATTACH merge per chunk, so checkpointing advances in chunk-sized steps
     without visits ever crossing the result pipe.  Telemetry is applied as
     per-chunk deltas under ``chunk-NNN`` worker names.  With
@@ -668,11 +674,12 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
     def submit_ranks(ranks: "tuple[int, ...]", *,
                      probe: bool = False) -> None:
         nonlocal chunk_index, probe_job
-        shard = (str(_chunk_sidecar_path(store.path, run_tag, chunk_index))
-                 if store is not None else None)
+        sidecar = (str(_chunk_sidecar_path(store.path, run_tag,
+                                           chunk_index))
+                   if store is not None else None)
         job = _ChunkJob(recipe=recipe, web_fp=web_fp, pool_fp=pool_fp,
                         ranks=ranks, chunk_index=chunk_index,
-                        shard_path=shard, collect=collect,
+                        sidecar_path=sidecar, collect=collect,
                         trace=trace, count=count, chaos=chaos)
         chunk_index += 1
         try:
@@ -719,18 +726,17 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
 
     def merge_sidecar(result: _ChunkResult) -> bool:
         """Fold the chunk sidecar in; ``False`` = chunk lost (requeued)."""
-        from repro.crawler.pool import _delete_store_files
         from repro.crawler.storage import CrawlStore
-        sidecar = Path(result.shard_path)
+        sidecar = Path(result.sidecar_path)
         attempts = sup.config.merge_attempts if sup is not None else 1
         failure: "sqlite3.OperationalError | None" = None
         for attempt in range(attempts):
             try:
                 if chaos is not None:
                     chaos.before_merge(result.ranks)
-                with CrawlStore(sidecar) as shard:
-                    store.merge_from(shard)
-                _delete_store_files(sidecar)
+                with CrawlStore(sidecar) as source:
+                    store.merge_from(source)
+                _delete_sidecar(sidecar)
                 return True
             except sqlite3.OperationalError as exc:
                 failure = exc
@@ -740,7 +746,7 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
                         "chunk %03d sidecar merge failed (attempt %d/%d), "
                         "retrying: %s", result.chunk_index, attempt + 1,
                         attempts, exc)
-        _delete_store_files(sidecar)
+        _delete_sidecar(sidecar)
         if sup is None:
             raise failure
         # The sidecar is gone but sites are pure (seed, rank) functions:
@@ -763,7 +769,7 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
             TRACER.ingest(result.spans, pid=f"chunk-{index:03d}")
         if result.metrics is not None:
             _metrics.REGISTRY.merge(result.metrics)
-        if result.shard_path is not None and store is not None:
+        if result.sidecar_path is not None and store is not None:
             if not merge_sidecar(result):
                 return  # requeued — nothing completed for this chunk yet
         if telemetry is not None:

@@ -1,29 +1,23 @@
 """Parallel crawl orchestration.
 
-The paper ran 40 parallel crawlers for nine days; :class:`CrawlerPool` runs
-N worker threads over the ranked origin list and aggregates the results
-into a :class:`CrawlDataset` with the Section 4 failure taxonomy.  Results
-are deterministic regardless of worker count because every site's content
-is a pure function of (seed, rank).
+The paper ran 40 parallel crawlers for nine days; :class:`CrawlerPool`
+crawls the ranked origin list either serially in the calling process or
+across N worker processes (the ``process`` backend, the analogue of the
+paper's separate browser processes), and aggregates the results into a
+:class:`CrawlDataset` with the Section 4 failure taxonomy.  Results are
+deterministic regardless of backend and worker count because every site's
+content is a pure function of (seed, rank).
 
 Resilience (this mirrors the paper's operational setup, Appendix A.2):
 
 * ``run(store=CrawlStore(...))`` persists visits as they complete (C14),
-  from whichever worker thread finished them, batched through
-  :meth:`~repro.crawler.storage.CrawlStore.save_visits` in groups of
-  :data:`STORE_BATCH_SIZE` so the store stage stays a small share of the
-  crawl — a crash loses at most the current batch plus in-flight visits,
-  and every graceful-stop path flushes the batch first;
+  batched through :meth:`~repro.crawler.storage.CrawlStore.save_visits`
+  in groups of :data:`STORE_BATCH_SIZE` so the store stage stays a small
+  share of the crawl — a crash loses at most the current batch plus
+  in-flight visits, and every graceful-stop path flushes the batch first;
 * ``run(store=..., resume=True)`` queries the checkpoint for
   already-stored ranks and crawls only the remainder — the merged dataset
   is byte-identical to an uninterrupted run;
-* ``run(store=..., shards=N)`` partitions the rank list into N contiguous
-  shards, crawls each into its own sidecar SQLite store and merges every
-  completed shard back into the main store, deleting the sidecar — paper
-  scale crawls keep per-file size and write contention bounded while the
-  merged store stays byte-identical to an unsharded run (resume works
-  across shard boundaries: leftover shard files from a killed run are
-  merged before the remainder is computed);
 * ``run(store=..., collect=False)`` skips accumulating visits in memory —
   the returned dataset is empty and the store is the output — so a 100k+
   site crawl runs with bounded memory;
@@ -44,9 +38,7 @@ import math
 import signal
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.browser.page import Fetcher
@@ -229,7 +221,7 @@ class CrawlDataset:
 
 
 #: Valid values for ``CrawlerPool(backend=...)``.
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: Visits buffered per batched store write on the pool's hot path.  Large
 #: enough that per-commit overhead stops dominating the store stage, small
@@ -237,31 +229,10 @@ BACKENDS = ("auto", "serial", "thread", "process")
 STORE_BATCH_SIZE = 64
 
 
-def shard_store_path(path: Path, index: int) -> Path:
-    """The sidecar SQLite file a sharded run uses for shard ``index``."""
-    return path.with_name(f"{path.name}.shard-{index:03d}")
-
-
-def _delete_store_files(path: Path) -> None:
-    """Remove a shard store file and its WAL/SHM sidecars."""
-    for victim in (path, path.with_name(path.name + "-wal"),
-                   path.with_name(path.name + "-shm")):
-        with contextlib.suppress(FileNotFoundError):
-            victim.unlink()
-
-
-def _leftover_shard_paths(store_path: Path) -> list[Path]:
-    """Shard store files a previous (killed) sharded run left behind."""
-    return sorted(
-        candidate for candidate
-        in store_path.parent.glob(store_path.name + ".shard-*")
-        if not candidate.name.endswith(("-wal", "-shm")))
-
-
 class _StoreBatcher:
     """Buffers completed visits and writes them in batched transactions.
 
-    Thread-safe: worker threads hand visits over under a small lock and
+    Thread-safe: callers hand visits over under a small lock and
     the full batch is written through
     :meth:`~repro.crawler.storage.CrawlStore.save_visits` outside it (the
     store has its own writer lock).  :meth:`flush` drains the remainder;
@@ -289,14 +260,6 @@ class _StoreBatcher:
             batch, self._buffer = self._buffer, []
         if batch:
             self._store.save_visits(batch, chunk_size=self._batch_size)
-
-
-class _CrawlInterrupted(Exception):
-    """Internal: a worker observed the pool's stop request.
-
-    Never escapes :meth:`CrawlerPool.run`; it only unwinds the backend
-    loops so an interrupted run returns the visits completed so far.
-    """
 
 
 @contextlib.contextmanager
@@ -338,15 +301,12 @@ def _stop_on_signals(pool: "CrawlerPool") -> Iterator[None]:
 class CrawlerPool:
     """Runs crawls over a ranked range of the synthetic web.
 
-    Backends (results are byte-identical across all of them):
+    Backends (results are byte-identical across both):
 
-    * ``"serial"`` — one visit after another in the calling thread;
-    * ``"thread"`` — a :class:`ThreadPoolExecutor`; useful for I/O-bound
-      fetchers, no speedup for the pure-Python synthetic crawl (GIL);
-    * ``"process"`` — contiguous rank chunks crawled in worker processes
-      (:mod:`repro.crawler.backends`), the only backend that uses multiple
-      cores;
-    * ``"auto"`` — ``serial`` for ``workers=1``, else ``thread``.
+    * ``"serial"`` (the default) — one visit after another in the calling
+      thread; ``workers`` is ignored;
+    * ``"process"`` — contiguous rank chunks crawled in ``workers`` worker
+      processes (:mod:`repro.crawler.backends`).
     """
 
     def __init__(self, web: SyntheticWeb, *, workers: int = 4,
@@ -355,7 +315,7 @@ class CrawlerPool:
                  retry_policy: RetryPolicy | None = None,
                  fetcher_factory: Callable[[], Fetcher] | None = None,
                  fetcher_spec: "FetcherSpec | None" = None,
-                 backend: str = "auto",
+                 backend: str = "serial",
                  mp_context: str | None = None,
                  chunk_schedule: Sequence[int] | None = None) -> None:
         if workers < 1:
@@ -382,11 +342,9 @@ class CrawlerPool:
         self.retry_policy = retry_policy
         # One engine for the whole pool: policy evaluation is pure, so the
         # engine's structural decision memo (keyed on chain shape, not frame
-        # identity) can be shared across visits and worker threads — the
-        # same widget chain on site N and site N+1 is one memo entry.  A
-        # fresh engine per visit would discard the memo each time.  Same
-        # thread-safety argument as repro.policy.memo: dict single-key ops
-        # are atomic and a lost race merely duplicates a pure computation.
+        # identity) can be shared across visits — the same widget chain on
+        # site N and site N+1 is one memo entry.  A fresh engine per visit
+        # would discard the memo each time.
         self._engine = (engine if engine is not None
                         else PermissionsPolicyEngine())
         #: Picklable fetcher recipe — the only fetcher customisation the
@@ -437,16 +395,6 @@ class CrawlerPool:
     def stop_requested(self) -> bool:
         return self._stop.is_set()
 
-    def resolved_backend(self, backend: str | None = None) -> str:
-        """The concrete backend a run would use (never ``"auto"``)."""
-        choice = backend if backend is not None else self.backend
-        if choice not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, "
-                             f"got {choice!r}")
-        if choice == "auto":
-            return "serial" if self.workers == 1 else "thread"
-        return choice
-
     def _make_crawler(self) -> Crawler:
         return Crawler(self.fetcher_factory(), config=self.config,
                        engine=self._engine, retry_policy=self.retry_policy)
@@ -459,7 +407,6 @@ class CrawlerPool:
             telemetry: CrawlTelemetry | None = None,
             backend: str | None = None,
             handle_signals: bool = False,
-            shards: int | None = None,
             collect: bool = True,
             max_pool_rebuilds: int = 0,
             supervisor: "SupervisorConfig | None" = None,
@@ -473,16 +420,6 @@ class CrawlerPool:
         re-crawled and the merged dataset equals an uninterrupted run.
         ``telemetry`` receives per-visit updates.  ``backend`` overrides
         the pool's configured backend for this run.
-
-        With ``shards=N`` (N > 1; requires ``store``), the rank list is
-        partitioned into N contiguous shards, each crawled into a sidecar
-        shard store that is merged into ``store`` and deleted as it
-        completes.  The merged store is byte-identical to an unsharded run
-        (same visits, same checksums, read back in rank order), including
-        under ``resume=`` — a killed sharded run leaves shard files behind
-        and the next ``resume=True`` run merges them before computing the
-        remainder — and under fault injection, whose faults depend only on
-        (seed, url, attempt).
 
         With ``collect=False`` (requires ``store``), completed visits are
         *not* accumulated in memory: the returned dataset is empty and the
@@ -509,19 +446,16 @@ class CrawlerPool:
         deterministic faults for drills
         (:class:`~repro.crawler.chaos.ChaosPolicy`).  Supervision never
         changes dataset bytes: requeued chunks replay the same pure
-        (seed, rank) visits, and a sharded run supervises each shard with
-        a fresh budget.
+        (seed, rank) visits.
         """
         if resume and store is None:
             raise ValueError("resume=True requires a store")
         if not collect and store is None:
             raise ValueError("collect=False requires a store")
-        shard_count = 1 if shards is None else int(shards)
-        if shard_count < 1:
-            raise ValueError(f"shards must be >= 1, got {shards!r}")
-        if shard_count > 1 and store is None:
-            raise ValueError("shards > 1 requires a store to merge into")
-        chosen = self.resolved_backend(backend)
+        chosen = backend if backend is not None else self.backend
+        if chosen not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}, "
+                             f"got {chosen!r}")
         if max_pool_rebuilds < 0:
             raise ValueError(f"max_pool_rebuilds must be >= 0, "
                              f"got {max_pool_rebuilds!r}")
@@ -549,15 +483,43 @@ class CrawlerPool:
         guard = (_stop_on_signals(self) if handle_signals
                  else contextlib.nullcontext())
         with guard:
-            if shard_count > 1:
-                return self._run_sharded(
-                    shard_count, targets, progress, store=store,
-                    resume=resume, telemetry=telemetry, chosen=chosen,
-                    collect=collect, supervisor=supervisor, chaos=chaos)
-            return self._run_single(
-                targets, progress, store=store, resume=resume,
-                telemetry=telemetry, chosen=chosen, collect=collect,
-                supervisor=supervisor, chaos=chaos)
+            resumed: list[SiteVisit] = []
+            resumed_count = 0
+            if resume:
+                targets, resumed, resumed_count = self._resume_split(
+                    targets, store, collect)
+            if telemetry is not None:
+                # total covers the full run, so a resumed run still
+                # converges to done (completed + resumed == total) instead
+                # of reporting a non-empty queue forever.
+                telemetry.start(len(targets) + resumed_count,
+                                backend=chosen)
+                telemetry.record_resumed(resumed_count)
+            logger.info("crawl starting: %d targets (%d resumed), "
+                        "backend=%s, workers=%d", len(targets),
+                        resumed_count, chosen, self.workers)
+            dataset = CrawlDataset()
+            dataset.visits.extend(resumed)
+            with TRACER.span("crawl.run", backend=chosen, sites=len(targets),
+                             resumed=resumed_count, workers=self.workers):
+                dataset.visits.extend(self._crawl_targets(
+                    targets, chosen=chosen, store=store,
+                    telemetry=telemetry, progress=progress, collect=collect,
+                    supervisor=supervisor, chaos=chaos))
+            dataset.visits.sort(key=lambda visit: visit.rank)
+            if self._stop.is_set():
+                if store is not None:
+                    store.flush()
+                if telemetry is not None:
+                    telemetry.record_interrupted()
+                logger.warning(
+                    "crawl interrupted after %d/%d visits — checkpoint "
+                    "flushed; rerun with resume=True to finish",
+                    dataset.attempted - len(resumed), len(targets))
+            else:
+                logger.info("crawl finished: %d visits (%d ok)",
+                            dataset.attempted, dataset.successful_count)
+        return dataset
 
     def _resume_split(self, targets: list[int], store: "CrawlStore",
                       collect: bool
@@ -573,133 +535,6 @@ class CrawlerPool:
         remaining = [rank for rank in targets if rank not in done]
         return remaining, resumed, len(wanted)
 
-    def _run_single(self, targets: list[int],
-                    progress: Callable[[int, int], None] | None,
-                    *, store: "CrawlStore | None", resume: bool,
-                    telemetry: CrawlTelemetry | None, chosen: str,
-                    collect: bool,
-                    supervisor: "SupervisorConfig | None" = None,
-                    chaos: "ChaosPolicy | None" = None) -> CrawlDataset:
-        resumed: list[SiteVisit] = []
-        resumed_count = 0
-        if resume:
-            targets, resumed, resumed_count = self._resume_split(
-                targets, store, collect)
-        if telemetry is not None:
-            # total covers the full run, so a resumed run still converges
-            # to done (completed + resumed == total) instead of reporting
-            # a non-empty queue forever.
-            telemetry.start(len(targets) + resumed_count, backend=chosen)
-            telemetry.record_resumed(resumed_count)
-        logger.info("crawl starting: %d targets (%d resumed), backend=%s, "
-                    "workers=%d", len(targets), resumed_count, chosen,
-                    self.workers)
-        dataset = CrawlDataset()
-        dataset.visits.extend(resumed)
-        with TRACER.span("crawl.run", backend=chosen, sites=len(targets),
-                         resumed=resumed_count, workers=self.workers):
-            dataset.visits.extend(self._crawl_targets(
-                targets, chosen=chosen, store=store, telemetry=telemetry,
-                progress=progress, collect=collect,
-                supervisor=supervisor, chaos=chaos))
-        dataset.visits.sort(key=lambda visit: visit.rank)
-        if self._stop.is_set():
-            if store is not None:
-                store.flush()
-            if telemetry is not None:
-                telemetry.record_interrupted()
-            logger.warning(
-                "crawl interrupted after %d/%d visits — checkpoint "
-                "flushed; rerun with resume=True to finish",
-                dataset.attempted - len(resumed), len(targets))
-        else:
-            logger.info("crawl finished: %d visits (%d ok)",
-                        dataset.attempted, dataset.successful_count)
-        return dataset
-
-    def _run_sharded(self, shards: int, targets: list[int],
-                     progress: Callable[[int, int], None] | None,
-                     *, store: "CrawlStore", resume: bool,
-                     telemetry: CrawlTelemetry | None, chosen: str,
-                     collect: bool,
-                     supervisor: "SupervisorConfig | None" = None,
-                     chaos: "ChaosPolicy | None" = None) -> CrawlDataset:
-        from repro.crawler.backends import chunk_ranks
-        from repro.crawler.storage import CrawlStore
-
-        leftovers = _leftover_shard_paths(store.path)
-        if leftovers and resume:
-            # A killed sharded run left completed shards (or a partial
-            # one) behind; fold them into the checkpoint so the normal
-            # resume split sees their ranks as done.
-            for path in leftovers:
-                with CrawlStore(path) as shard:
-                    store.merge_from(shard)
-                _delete_store_files(path)
-            logger.info("merged %d leftover shard store(s) into %s",
-                        len(leftovers), store.path)
-        elif leftovers:
-            for path in leftovers:  # stale wreckage of a fresh run
-                _delete_store_files(path)
-        resumed: list[SiteVisit] = []
-        resumed_count = 0
-        if resume:
-            targets, resumed, resumed_count = self._resume_split(
-                targets, store, collect)
-        if telemetry is not None:
-            telemetry.start(len(targets) + resumed_count, backend=chosen)
-            telemetry.record_resumed(resumed_count)
-        chunks = chunk_ranks(targets, shards)
-        logger.info("sharded crawl starting: %d targets across %d shards "
-                    "(%d resumed), backend=%s, workers=%d", len(targets),
-                    len(chunks), resumed_count, chosen, self.workers)
-        dataset = CrawlDataset()
-        dataset.visits.extend(resumed)
-        completed_base = 0
-        with TRACER.span("crawl.run.sharded", backend=chosen,
-                         sites=len(targets), shards=len(chunks),
-                         resumed=resumed_count, workers=self.workers):
-            for index, chunk in enumerate(chunks):
-                if self._stop.is_set():
-                    break
-                shard_path = shard_store_path(store.path, index)
-                _delete_store_files(shard_path)
-                with TRACER.span("crawl.shard", shard=index,
-                                 ranks=len(chunk)):
-                    shard_progress = None
-                    if progress is not None:
-                        def shard_progress(done: int, _total: int,
-                                           base: int = completed_base
-                                           ) -> None:
-                            progress(base + done, len(targets))
-                    with CrawlStore(shard_path) as shard_store:
-                        visits = self._crawl_targets(
-                            chunk, chosen=chosen, store=shard_store,
-                            telemetry=telemetry, progress=shard_progress,
-                            collect=collect, supervisor=supervisor,
-                            chaos=chaos)
-                        shard_store.flush()
-                        # Merge even a partially crawled shard: graceful
-                        # stop checkpoints everything that completed.
-                        store.merge_from(shard_store)
-                    _delete_store_files(shard_path)
-                completed_base += len(chunk)
-                if collect:
-                    dataset.visits.extend(visits)
-        dataset.visits.sort(key=lambda visit: visit.rank)
-        store.flush()
-        if self._stop.is_set():
-            if telemetry is not None:
-                telemetry.record_interrupted()
-            logger.warning(
-                "sharded crawl interrupted after %d/%d visits — "
-                "checkpoint flushed; rerun with resume=True to finish",
-                dataset.attempted - len(resumed), len(targets))
-        else:
-            logger.info("sharded crawl finished: %d visits (%d ok)",
-                        dataset.attempted, dataset.successful_count)
-        return dataset
-
     def _crawl_targets(self, targets: list[int], *, chosen: str,
                        store: "CrawlStore | None",
                        telemetry: CrawlTelemetry | None,
@@ -708,68 +543,45 @@ class CrawlerPool:
                        supervisor: "SupervisorConfig | None" = None,
                        chaos: "ChaosPolicy | None" = None
                        ) -> list[SiteVisit]:
-        """Crawl ``targets`` on the chosen backend, batching store writes.
+        """Crawl ``targets`` on the chosen backend.
 
         Returns the completed visits (empty with ``collect=False``).  The
-        write batch is always flushed on the way out, including when a
-        stop request unwinds the backend loop.
+        serial loop batches its store writes; the batch is always flushed
+        on the way out, including when a stop request ends the loop early.
         """
+        if chosen == "process":
+            if not targets:
+                return []
+            from repro.crawler.backends import crawl_in_processes
+            visits = crawl_in_processes(
+                self, targets, progress=progress, store=store,
+                telemetry=telemetry, collect=collect,
+                supervisor=supervisor, chaos=chaos)
+            return visits if collect else []
         batcher = _StoreBatcher(store) if store is not None else None
         collected: list[SiteVisit] = []
-
-        def visit_rank(rank: int) -> SiteVisit:
-            # One crawler (and one fetcher) per task keeps worker state
-            # independent, like the paper's per-site fresh (stateless)
-            # browser — and makes fault-injection state per-visit, so
-            # serial, parallel and resumed runs all see identical faults.
-            if self._stop.is_set():
-                raise _CrawlInterrupted(rank)
-            with TRACER.span("crawl.visit", rank=rank):
-                crawler = self._make_crawler()
-                visit = crawler.visit(self.web.origin_for_rank(rank),
-                                      rank=rank)
-            if batcher is not None:
-                batcher.add(visit)
-            if telemetry is not None:
-                telemetry.record_visit(visit)
-                for event in crawler.guard_events:
-                    telemetry.record_guard_event(event.kind)
-            return visit
-
         try:
-            if chosen == "process" and targets:
-                from repro.crawler.backends import crawl_in_processes
-                visits = crawl_in_processes(
-                    self, targets, progress=progress, store=store,
-                    telemetry=telemetry, collect=collect,
-                    supervisor=supervisor, chaos=chaos)
+            for index, rank in enumerate(targets):
+                if self._stop.is_set():
+                    break
+                # One crawler (and one fetcher) per visit keeps visit state
+                # independent, like the paper's per-site fresh (stateless)
+                # browser — and makes fault-injection state per-visit, so
+                # serial, process and resumed runs all see identical faults.
+                with TRACER.span("crawl.visit", rank=rank):
+                    crawler = self._make_crawler()
+                    visit = crawler.visit(self.web.origin_for_rank(rank),
+                                          rank=rank)
+                if batcher is not None:
+                    batcher.add(visit)
+                if telemetry is not None:
+                    telemetry.record_visit(visit)
+                    for event in crawler.guard_events:
+                        telemetry.record_guard_event(event.kind)
                 if collect:
-                    collected.extend(visits)
-            elif chosen == "serial" or self.workers == 1:
-                for index, rank in enumerate(targets):
-                    if self._stop.is_set():
-                        break
-                    try:
-                        visit = visit_rank(rank)
-                    except _CrawlInterrupted:
-                        break
-                    if collect:
-                        collected.append(visit)
-                    if progress is not None:
-                        progress(index + 1, len(targets))
-            else:
-                with ThreadPoolExecutor(max_workers=self.workers) as executor:
-                    try:
-                        for index, visit in enumerate(
-                                executor.map(visit_rank, targets)):
-                            if collect:
-                                collected.append(visit)
-                            if progress is not None:
-                                progress(index + 1, len(targets))
-                    except _CrawlInterrupted:
-                        # Queued tasks unwind the same way as they are
-                        # scheduled; the executor exit just drains them.
-                        pass
+                    collected.append(visit)
+                if progress is not None:
+                    progress(index + 1, len(targets))
         finally:
             if batcher is not None:
                 batcher.flush()

@@ -3,11 +3,11 @@
 The paper's wrapper stores all collected data in a database immediately
 after each site completes (Appendix A.2, C14).  :class:`CrawlStore`
 reproduces that: one SQLite file with ``visits``, ``frames``, ``calls``,
-``scripts`` and ``prompts`` tables, savable incrementally — including from
-:class:`~repro.crawler.pool.CrawlerPool` worker threads, behind a
-serialized writer lock with WAL enabled for concurrent readers — and
-loadable back into :class:`~repro.crawler.pool.CrawlDataset` form so
-analyses can run without re-crawling.
+``scripts`` and ``prompts`` tables, savable incrementally — from any
+thread, behind a serialized writer lock with WAL enabled for concurrent
+readers — and loadable back into
+:class:`~repro.crawler.pool.CrawlDataset` form so analyses can run without
+re-crawling.
 
 On-disk data is treated as untrusted (DESIGN.md §4g):
 
@@ -229,8 +229,8 @@ class CrawlStore:
 
     One store owns one connection, opened with
     ``check_same_thread=False`` and guarded by a serialized writer lock,
-    so pool worker threads can call :meth:`save_visit` directly as each
-    site completes.  The journal runs in WAL mode so readers (another
+    so any thread can call :meth:`save_visit` directly as each site
+    completes.  The journal runs in WAL mode so readers (another
     process tailing the checkpoint) never block the writers.
     """
 
@@ -331,8 +331,10 @@ class CrawlStore:
         per chunk and a single commit per chunk instead of a commit per
         visit.  This is the pool's hot path at scale; per-visit commits
         dominate the store stage otherwise.  Accepts any iterable
-        (including a generator, so a whole shard can stream through).
-        Thread-safe.  Returns the number of visits written.
+        (including a generator, so a whole store or JSONL file can stream
+        through).  A rank given more than once is stored as its last copy,
+        whatever the ``chunk_size``.  Thread-safe.  Returns the number of
+        visits given.
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -365,24 +367,30 @@ class CrawlStore:
         bound as the type its column stores (``float`` for
         ``duration_seconds``, ``int`` for flags), so the rows
         :meth:`verify` reads back hash the same.  Encoding happens
-        *before* the writer lock is taken: it dominates the save's CPU
-        cost and needs no connection state, so under a threaded pool
-        several workers encode concurrently while only the SQLite calls
-        themselves serialize.
+        *before* the writer lock is taken: it needs no connection state,
+        so only the SQLite calls themselves hold the lock.
+
+        A rank given twice keeps only its last copy, placed where that
+        copy came — exactly what saving the copies in separate chunks
+        stores, so the stored bytes never depend on ``chunk_size``.
 
         Any exception inside the locked section rolls the transaction
-        back, so a failed chunk (a rank given twice hits the ``frames``
-        primary key, say) leaves none of its deletes or rows behind for
-        the next commit to persist.
+        back, so a failed chunk (a visit repeating a frame id hits the
+        ``frames`` primary key, say) leaves none of its deletes or rows
+        behind for the next commit to persist.
 
         When metrics are on, the writer thread's *CPU* time inside the
         lock is recorded in the ``store.write_seconds`` histogram
-        (:func:`time.thread_time`, not wall clock): under a threaded pool
-        the GIL regularly deschedules the writer mid-section, so wall
-        clock would charge crawl compute — and, timed outside the lock,
-        lock-wait once per blocked worker — to the store.  Thread CPU time
-        is exactly the work the store itself costs.
+        (:func:`time.thread_time`, not wall clock), so time the writer
+        spends descheduled or waiting for the lock is not charged to the
+        store.
         """
+        if len({visit.rank for visit in chunk}) < len(chunk):
+            latest: dict[int, SiteVisit] = {}
+            for visit in chunk:
+                latest.pop(visit.rank, None)
+                latest[visit.rank] = visit
+            chunk = list(latest.values())
         rank_params = []
         visit_rows = []
         frame_rows: list[tuple] = []
@@ -648,10 +656,11 @@ class CrawlStore:
 
         Fast path: ``other``'s rows are copied verbatim inside SQLite via
         ``ATTACH`` + ``INSERT ... SELECT`` — no Python-side decode or
-        re-encode, which is what lets a sharded crawl's merge step stay a
-        small slice of the store stage.  Shard rows were written by this
-        same encoder, so a verbatim copy is byte-for-byte what re-saving
-        the visits would produce (checksums included); child rows are
+        re-encode, which is what lets the process backend's per-chunk
+        sidecar merges stay a small slice of the store stage.  Sidecar
+        rows were written by this same encoder, so a verbatim copy is
+        byte-for-byte what re-saving the visits would produce (checksums
+        included); child rows are
         copied ``ORDER BY rowid`` so per-rank contiguity (the
         :meth:`_attach_children` invariant) survives, and child rows whose
         rank has no ``visits`` row are left behind, matching the streaming
@@ -705,7 +714,7 @@ class CrawlStore:
                 conn.execute("DETACH DATABASE merge_src")
             if _metrics.COUNTING:
                 # Separate histogram from save_visits' store.write_seconds:
-                # with shard-local worker writes the row encoding happens in
+                # with sidecar worker writes the row encoding happens in
                 # worker processes (overlapping crawl compute), so merge
                 # cost is the only store work on the parent's critical path
                 # and the scale harness accounts for the two separately.
@@ -1011,13 +1020,14 @@ class CrawlStore:
 
 def merge_stores(target: "str | Path", shards: "Iterable[str | Path]", *,
                  chunk_size: int = 256) -> int:
-    """Merge shard store files into ``target``, in the order given.
+    """Merge store files into ``target``, in the order given.
 
-    Shards produced by a sharded crawl hold disjoint rank ranges, so the
-    merge is deterministic regardless of shard completion order: every
-    reader walks the merged store ``ORDER BY rank``.  The target is
-    flushed (WAL checkpointed) after the merge.  Returns the total number
-    of visits merged.
+    Stores crawled over disjoint rank ranges (on separate machines, say)
+    merge deterministically regardless of the order they finished in:
+    every reader walks the merged store ``ORDER BY rank``.  A rank present
+    in several stores keeps the copy of the last store given.  The target
+    is flushed (WAL checkpointed) after the merge.  Returns the total
+    number of visits merged.
     """
     total = 0
     with CrawlStore(target) as store:

@@ -46,7 +46,7 @@ class TelemetrySnapshot:
     simulated_seconds: float
     failure_counts: dict[str, int]
     visits_by_worker: dict[str, int]
-    #: Execution backend of the run ("serial"/"thread"/"process"), empty
+    #: Execution backend of the run ("serial"/"process"), empty
     #: when the pool did not report one.
     backend: str = ""
     #: Guard interventions by kind (truncations, watchdog conversions,

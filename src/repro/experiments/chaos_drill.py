@@ -171,9 +171,7 @@ def collect_chaos(site_count: int, *, seed: int = runner.DEFAULT_SEED,
         snapshot = telemetry.snapshot()
         quarantined = set(snapshot.quarantined_ranks)
         quarantine_rows = chaos_store.quarantine_rows()
-        leftovers = sorted(
-            glob.glob(str(tmp / "*.wchunk-*"))
-            + glob.glob(str(tmp / "*.shard-*")))
+        leftovers = sorted(glob.glob(str(tmp / "*.wchunk-*")))
 
         # Byte identity: chaos export == baseline export minus exactly
         # the quarantined ranks.

@@ -32,7 +32,7 @@ from repro.obs import metrics as _metrics
 from repro.policy.memo import clear_parser_caches, parser_caches_disabled
 from repro.synthweb.generator import SyntheticWeb
 
-DEFAULT_BACKENDS = ("serial", "thread", "process")
+DEFAULT_BACKENDS = ("serial", "process")
 
 
 def _timed(fn: Callable[[], object]) -> tuple[float, object]:
@@ -221,7 +221,7 @@ def time_observability(site_count: int, seed: int, *,
     from repro.crawler.telemetry import CrawlTelemetry
 
     web = SyntheticWeb(site_count, seed=seed)
-    pool = CrawlerPool(web, workers=workers, backend="auto")
+    pool = CrawlerPool(web, workers=workers)
 
     off_seconds = float("inf")
     on_seconds = float("inf")
@@ -441,7 +441,7 @@ def collect(site_count: int, *, seed: int = runner.DEFAULT_SEED,
 
 
 def collect_stages(site_count: int, *, seed: int = runner.DEFAULT_SEED,
-                   workers: int = 4, backend: str = "auto") -> dict:
+                   workers: int = 4, backend: str = "serial") -> dict:
     """Per-stage pipeline breakdown (embedded in the BENCH documents)."""
     from repro.obs.profile import profile_pipeline
 

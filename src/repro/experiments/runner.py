@@ -22,7 +22,8 @@ Environment knobs:
 * ``REPRO_CACHE_DIR`` — cache location (default
   ``~/.cache/permissions-odyssey``);
 * ``REPRO_NO_CACHE`` — any non-empty value disables the disk cache;
-* ``REPRO_BACKEND`` — default crawl backend (serial/thread/process/auto).
+* ``REPRO_BACKEND`` — default crawl backend (``serial``, the default, or
+  ``process``).
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class ExperimentContext:
         return 1_000_000 / self.web.site_count
 
 
-_CACHE: dict[tuple[int, int, int, str], ExperimentContext] = {}
+_CACHE: dict[tuple[int, int, str], ExperimentContext] = {}
 _FINGERPRINT: str | None = None
 
 
@@ -118,7 +119,7 @@ def configured_site_count() -> int:
 
 
 def configured_backend() -> str:
-    return os.environ.get("REPRO_BACKEND", "auto")
+    return os.environ.get("REPRO_BACKEND", "serial")
 
 
 def cache_enabled() -> bool:
@@ -154,14 +155,9 @@ def _rates_variant(rates: GeneratorRates) -> str:
     return "rates-" + hashlib.sha256(payload).hexdigest()[:12]
 
 
-def _manifest(count: int, seed: int, shards: int = 1,
+def _manifest(count: int, seed: int,
               rates: GeneratorRates | None = None) -> dict:
-    # The shard layout is part of the cache key: sharded and unsharded
-    # runs are byte-identical by contract, but a cache entry must still
-    # record exactly how it was produced so a layout-specific regression
-    # can never masquerade as a clean cache hit for the other layout.
     manifest = {"site_count": count, "seed": seed,
-                "shards": shards,
                 "schema_version": SCHEMA_VERSION,
                 "code_fingerprint": code_fingerprint()}
     if rates is not None:
@@ -178,7 +174,7 @@ def _cache_paths(count: int, seed: int,
     return base.with_suffix(".json"), base.with_suffix(".sqlite")
 
 
-def _load_cached(count: int, seed: int, shards: int = 1,
+def _load_cached(count: int, seed: int,
                  rates: GeneratorRates | None = None,
                  variant: str = "") -> CrawlDataset | None:
     """The cached dataset, or ``None`` on any miss or mismatch."""
@@ -187,8 +183,7 @@ def _load_cached(count: int, seed: int, shards: int = 1,
         manifest = json.loads(manifest_path.read_text())
     except (OSError, ValueError):
         return None
-    if manifest != _manifest(count, seed, shards, rates) \
-            or not db_path.exists():
+    if manifest != _manifest(count, seed, rates) or not db_path.exists():
         return None
     try:
         with CrawlStore(db_path) as store:
@@ -201,7 +196,6 @@ def _load_cached(count: int, seed: int, shards: int = 1,
 
 
 def _store_cached(count: int, seed: int, dataset: CrawlDataset,
-                  shards: int = 1,
                   rates: GeneratorRates | None = None,
                   variant: str = "") -> None:
     """Best-effort write; the manifest lands last as completeness marker.
@@ -221,7 +215,7 @@ def _store_cached(count: int, seed: int, dataset: CrawlDataset,
             stale.unlink(missing_ok=True)
         with CrawlStore(db_path) as store:
             store.save_dataset(dataset)
-        tmp.write_text(json.dumps(_manifest(count, seed, shards, rates)))
+        tmp.write_text(json.dumps(_manifest(count, seed, rates)))
         tmp.replace(manifest_path)
     except (OSError, sqlite3.Error) as exc:
         logger.warning("measurement cache write failed, continuing without "
@@ -239,7 +233,6 @@ def run_measurement(site_count: int | None = None, *,
                     workers: int = 4,
                     backend: str | None = None,
                     use_cache: bool | None = None,
-                    shards: int | None = None,
                     rates: GeneratorRates | None = None,
                     variant: str | None = None) -> ExperimentContext:
     """Run (or reuse) the measurement crawl at the given scale.
@@ -253,10 +246,6 @@ def run_measurement(site_count: int | None = None, *,
     Note: all backends produce byte-identical datasets, so ``backend``
     only selects the execution strategy of a *fresh* crawl — it cannot
     change an already-cached result, and a cache hit ignores it.
-    ``shards`` likewise only shapes a fresh crawl (sharded runs are
-    byte-identical to unsharded by contract), but the layout is recorded
-    in the disk-cache manifest, so entries produced under different shard
-    layouts never collide.
 
     ``rates`` runs the crawl over a non-default generator configuration
     (era measurements — :func:`repro.synthweb.eras.era_context`); such
@@ -266,9 +255,6 @@ def run_measurement(site_count: int | None = None, *,
     """
     count = site_count if site_count is not None else configured_site_count()
     cached = use_cache if use_cache is not None else cache_enabled()
-    layout = shards if shards is not None else 1
-    if layout < 1:
-        raise ValueError("shards must be >= 1")
     if variant is not None:
         tag = variant
         if not tag or not all(ch.isalnum() or ch in "-_" for ch in tag):
@@ -276,7 +262,7 @@ def run_measurement(site_count: int | None = None, *,
                 f"variant must be a non-empty [-_a-zA-Z0-9] tag, got {tag!r}")
     else:
         tag = _rates_variant(rates) if rates is not None else ""
-    key = (count, seed, layout, tag)
+    key = (count, seed, tag)
     if cached and key in _CACHE:
         if _metrics.COUNTING:
             _metrics.REGISTRY.counter("measurement_cache.memory_hits").inc()
@@ -284,7 +270,7 @@ def run_measurement(site_count: int | None = None, *,
     with TRACER.span("experiment.run_measurement", sites=count, seed=seed,
                      variant=tag or "default"):
         web = SyntheticWeb(count, seed=seed, rates=rates)
-        dataset = (_load_cached(count, seed, layout, rates, tag)
+        dataset = (_load_cached(count, seed, rates, tag)
                    if cached else None)
         if _metrics.COUNTING and cached:
             name = ("measurement_cache.disk_hits" if dataset is not None
@@ -292,16 +278,13 @@ def run_measurement(site_count: int | None = None, *,
             _metrics.REGISTRY.counter(name).inc()
         if dataset is None:
             chosen = backend if backend is not None else configured_backend()
-            logger.info("measurement crawl: %d sites, seed %d, backend %s, "
-                        "%d shard(s)%s", count, seed, chosen, layout,
+            logger.info("measurement crawl: %d sites, seed %d, backend "
+                        "%s%s", count, seed, chosen,
                         f", variant {tag}" if tag else "")
-            pool = CrawlerPool(web, workers=workers, backend=chosen)
-            if layout > 1:
-                dataset = _sharded_crawl(pool, layout)
-            else:
-                dataset = pool.run()
+            dataset = CrawlerPool(web, workers=workers,
+                                  backend=chosen).run()
             if cached:
-                _store_cached(count, seed, dataset, layout, rates, tag)
+                _store_cached(count, seed, dataset, rates, tag)
         else:
             logger.info("measurement crawl: %d sites, seed %d%s — loaded "
                         "from disk cache", count, seed,
@@ -310,12 +293,3 @@ def run_measurement(site_count: int | None = None, *,
     _CACHE[key] = ctx
     return ctx
 
-
-def _sharded_crawl(pool: CrawlerPool, shards: int) -> CrawlDataset:
-    """Run the pool sharded through a scratch store (sharded runs need a
-    store to merge into; the scratch file is deleted afterwards)."""
-    import tempfile
-
-    with tempfile.TemporaryDirectory(prefix="repro-sharded-") as scratch:
-        with CrawlStore(Path(scratch) / "crawl.sqlite") as store:
-            return pool.run(store=store, shards=shards)

@@ -100,7 +100,7 @@ class PipelineProfile:
 
 
 def profile_pipeline(site_count: int, *, seed: int = 2024, workers: int = 4,
-                     backend: str = "auto",
+                     backend: str = "serial",
                      store_path: "Path | str | None" = None
                      ) -> PipelineProfile:
     """Run the full pipeline once, instrumented, and time every stage.
@@ -141,7 +141,6 @@ def profile_pipeline(site_count: int, *, seed: int = 2024, workers: int = 4,
 
     web = SyntheticWeb(site_count, seed=seed)
     pool = CrawlerPool(web, workers=workers, backend=backend)
-    chosen = pool.resolved_backend()
     telemetry = CrawlTelemetry()
 
     tmp_dir: tempfile.TemporaryDirectory | None = None
@@ -155,7 +154,7 @@ def profile_pipeline(site_count: int, *, seed: int = 2024, workers: int = 4,
         # leaving the trace in TRACER for --trace-out.
         with observed():
             with span("profile.pipeline", sites=site_count, seed=seed,
-                      workers=workers, backend=chosen):
+                      workers=workers, backend=backend):
                 timed("generate",
                       lambda: [web.site(rank) for rank in range(site_count)],
                       lambda sites: f"{len(sites)} site specs")
@@ -163,7 +162,7 @@ def profile_pipeline(site_count: int, *, seed: int = 2024, workers: int = 4,
                     "crawl",
                     lambda: pool.run(telemetry=telemetry),
                     lambda d: f"{d.attempted} visits, "
-                              f"{d.successful_count} ok ({chosen})")
+                              f"{d.successful_count} ok ({backend})")
                 timed("store",
                       lambda: _persist(CrawlStore, store_path, dataset),
                       lambda n: f"{n} visits -> {Path(store_path).name} "
@@ -186,7 +185,7 @@ def profile_pipeline(site_count: int, *, seed: int = 2024, workers: int = 4,
 
     snap = telemetry.snapshot()
     return PipelineProfile(
-        site_count=site_count, seed=seed, workers=workers, backend=chosen,
+        site_count=site_count, seed=seed, workers=workers, backend=backend,
         stages=stages, visits_by_worker=dict(snap.visits_by_worker),
         metrics=REGISTRY.snapshot(),
     )

@@ -68,8 +68,7 @@ class TestChunkRanks:
 
 class TestBackendDeterminism:
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("thread", 2), ("thread", 8),
-        ("process", 1), ("process", 2), ("process", 8),
+        ("serial", 1), ("process", 1), ("process", 2), ("process", 8),
     ])
     def test_byte_identical_datasets(self, web, serial_dataset, tmp_path,
                                      backend, workers):
@@ -77,7 +76,7 @@ class TestBackendDeterminism:
         assert dataset_bytes(dataset, tmp_path, "candidate") == \
             dataset_bytes(serial_dataset, tmp_path, "reference")
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_fault_injection_identical_across_backends(self, web, tmp_path,
                                                        backend):
         spec = FaultInjectionSpec(seed=5, failure_rate=0.3, crash_rate=0.1)
@@ -108,13 +107,13 @@ class TestBackendDeterminism:
             dataset_bytes(serial_dataset, tmp_path, "reference")
 
     def test_run_backend_override(self, web, serial_dataset, tmp_path):
-        pool = CrawlerPool(web, workers=2, backend="thread")
+        pool = CrawlerPool(web, workers=2, backend="serial")
         dataset = pool.run(backend="process")
         assert dataset_bytes(dataset, tmp_path, "candidate") == \
             dataset_bytes(serial_dataset, tmp_path, "reference")
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("thread", 4), ("process", 2),
+        ("serial", 1), ("process", 2),
     ])
     def test_byte_identical_with_observability_on(self, web, serial_dataset,
                                                   tmp_path, backend, workers):
@@ -129,18 +128,17 @@ class TestBackendDeterminism:
 
 
 class TestBackendSelection:
-    def test_auto_resolution(self, web):
-        assert CrawlerPool(web, workers=1).resolved_backend() == "serial"
-        assert CrawlerPool(web, workers=4).resolved_backend() == "thread"
-        assert CrawlerPool(
-            web, workers=4, backend="process").resolved_backend() == "process"
+    def test_default_backend_is_serial(self, web):
+        assert BACKENDS == ("serial", "process")
+        assert CrawlerPool(web).backend == "serial"
+        assert CrawlerPool(web, workers=4).backend == "serial"
 
     def test_invalid_backend_rejected(self, web):
-        with pytest.raises(ValueError, match="backend"):
-            CrawlerPool(web, backend="rayon")
-        with pytest.raises(ValueError, match="backend"):
-            CrawlerPool(web).run(backend="rayon")
-        assert "auto" in BACKENDS
+        for backend in ("rayon", "thread", "auto"):
+            with pytest.raises(ValueError, match="backend"):
+                CrawlerPool(web, backend=backend)
+            with pytest.raises(ValueError, match="backend"):
+                CrawlerPool(web).run(range(1), backend=backend)
 
     def test_process_rejects_fetcher_factory(self, web):
         pool = CrawlerPool(web, workers=2, backend="process",
@@ -386,7 +384,7 @@ class TestMeasurementDiskCache:
         assert manifest_path.exists() and db_path.exists()
         manifest = json.loads(manifest_path.read_text())
         assert manifest == {
-            "site_count": 240, "seed": 9, "shards": 1,
+            "site_count": 240, "seed": 9,
             "schema_version": runner.SCHEMA_VERSION,
             "code_fingerprint": runner.code_fingerprint(),
         }
@@ -439,7 +437,7 @@ class TestMeasurementDiskCache:
         monkeypatch.setenv("REPRO_BACKEND", "process")
         assert runner.configured_backend() == "process"
         monkeypatch.delenv("REPRO_BACKEND")
-        assert runner.configured_backend() == "auto"
+        assert runner.configured_backend() == "serial"
 
     def test_truncated_db_is_a_miss(self):
         runner.run_measurement(240, seed=9)

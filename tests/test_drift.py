@@ -82,7 +82,7 @@ class TestSiteSignature:
 
 
 class TestSelfDiff:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_self_diff_empty_across_backends(self, backend, era_datasets,
                                              era_stores, tmp_path):
         dataset = _era_dataset(Era.Y2024, backend=backend)

@@ -222,6 +222,35 @@ class TestHardeningCli:
             assert a.load_dataset().visits == b.load_dataset().visits
             assert b.verify().ok
 
+    def test_import_jsonl_repeated_rank_keeps_last_copy(self, tmp_path,
+                                                        capsys):
+        import json
+        from repro.crawler.storage import CrawlStore
+        database = self._crawl(tmp_path, capsys)
+        out = tmp_path / "v.jsonl"
+        assert main(["export-jsonl", "--database", database,
+                     "--output", str(out)]) == 0
+        capsys.readouterr()
+        *records, trailer = out.read_text(encoding="utf-8").splitlines()
+        again = json.loads(records[3])
+        again["retries"] += 5
+        trailer_data = json.loads(trailer)
+        (key,) = trailer_data
+        trailer_data[key]["count"] += 1
+        lines = [*records, json.dumps(again), json.dumps(trailer_data)]
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        second = str(tmp_path / "dup.sqlite")
+        assert main(["import-jsonl", "--input", str(out),
+                     "--database", second]) == 0
+        assert "imported 41 visits" in capsys.readouterr().out
+        with CrawlStore(second) as store:
+            assert store.verify().ok
+            visits = store.load_dataset().visits
+        assert len(visits) == 40
+        (repeated,) = [v for v in visits if v.rank == again["rank"]]
+        assert repeated.retries == again["retries"]
+        assert main(["verify-store", "--database", second]) == 0
+
     def test_import_jsonl_skips_malformed_lines(self, tmp_path, capsys):
         from pathlib import Path
         database = self._crawl(tmp_path, capsys)

@@ -504,7 +504,7 @@ class TestGracefulShutdown:
 
     RANKS = list(range(24))
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_sigterm_mid_crawl_then_resume(self, web, backend, tmp_path):
         import os
         import signal

@@ -275,14 +275,13 @@ class TestFailedWriteRollback:
     def test_failed_chunk_leaves_no_partial_write(self, store_path):
         with CrawlStore(store_path) as store:
             before = _rows(store._conn)
-            again = _visit(TARGET, duration_seconds=99.0)
-            # A rank given twice hits the frames primary key after the
-            # chunk's deletes and its visits row already ran.
+            # A visit repeating a frame id hits the frames primary key
+            # after the chunk's deletes and visits rows already ran.
+            broken = _visit(TARGET, frames=[_visit(1).frames[0]] * 2)
             with pytest.raises(sqlite3.IntegrityError):
-                store.save_visits([again, again])
+                store.save_visits([_visit(5), broken])
             with pytest.raises(sqlite3.IntegrityError):
-                store.save_visit(_visit(TARGET, frames=[_visit(1).frames[0]]
-                                        * 2))
+                store.save_visit(broken)
             store.save_visits([_visit(4)])
             after = _rows(store._conn)
             report = store.verify()
@@ -290,15 +289,25 @@ class TestFailedWriteRollback:
                 for table, rows in after.items()} == before
         assert report.ok and report.verified_rows == 4
 
-    def test_duplicated_rank_in_a_chunk_never_verifies_clean(self, tmp_path):
-        # Without frames nothing stops the second copy's child rows from
-        # landing beside the first; the checksum covers one copy only.
-        visit = _visit(TARGET, frames=[])
-        with CrawlStore(tmp_path / "dup.sqlite") as store:
-            assert store.save_visits([visit, visit]) == 2
-            report = store.verify()
-        assert [(bad.rank, bad.reason) for bad in report.corrupt] == \
-            [(TARGET, CHECKSUM_MISMATCH)]
+    def test_duplicated_rank_in_a_chunk_last_copy_wins(self, tmp_path):
+        # Written naively, a second copy with frames hits the frames
+        # primary key, and one without lands its rows beside the first's.
+        for first in (_visit(TARGET), _visit(TARGET, frames=[])):
+            last = dataclasses.replace(first, duration_seconds=99.0,
+                                       retries=3)
+            visits = [first, _visit(4), last]
+            stored = {}
+            for chunk_size in (256, 1):
+                path = tmp_path / f"dup-{len(first.frames)}-{chunk_size}.db"
+                with CrawlStore(path) as store:
+                    assert store.save_visits(visits,
+                                             chunk_size=chunk_size) == 3
+                    report = store.verify()
+                    assert report.ok and report.verified_rows == 2
+                    assert store.load_visits([TARGET]) == [last]
+                    stored[chunk_size] = _rows(store._conn)
+            # One chunk stores exactly what one chunk per visit stores.
+            assert stored[256] == stored[1]
 
     def test_save_visit_supersedes_quarantine_and_counts(self, store_path):
         with CrawlStore(store_path) as store:

@@ -400,12 +400,11 @@ class TestSupervisedCrawls:
         assert resumed.visits == baseline.visits
 
     def test_supervision_requires_the_process_backend(self, web):
-        for backend in ("serial", "thread"):
-            pool = CrawlerPool(web, workers=2, backend=backend)
-            with pytest.raises(ValueError, match="process backend"):
-                pool.run(range(4), max_pool_rebuilds=2)
-            with pytest.raises(ValueError, match="process backend"):
-                pool.run(range(4), chaos=ChaosPolicy(poison_ranks=(1,)))
+        pool = CrawlerPool(web, workers=2, backend="serial")
+        with pytest.raises(ValueError, match="process backend"):
+            pool.run(range(4), max_pool_rebuilds=2)
+        with pytest.raises(ValueError, match="process backend"):
+            pool.run(range(4), chaos=ChaosPolicy(poison_ranks=(1,)))
 
     def test_negative_budget_is_rejected(self, web):
         pool = CrawlerPool(web, workers=2, backend="process")
