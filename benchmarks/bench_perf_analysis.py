@@ -48,7 +48,7 @@ def test_perf_analysis_report(benchmark):
         f"slower than legacy ({report['legacy_seconds']}s)")
 
     # Target: >= 3x at the 500-site CI scale and above, measured on the
-    # default summarize() path (parallel=True).
+    # thread-pool summarize() path (parallel=True; serial is the default).
     if PERF_SITES >= 500:
         assert report["speedup_parallel_vs_legacy"] >= 3.0, (
             f"expected >= 3x speedup over the legacy pipeline, got "

@@ -363,6 +363,13 @@ def main(argv: list[str] | None = None) -> int:
                                    handle_signals=True,
                                    collect=not args.no_collect,
                                    max_pool_rebuilds=args.max_pool_rebuilds)
+                if args.no_collect:
+                    # The dataset was deliberately not kept in memory, and
+                    # telemetry covers only the ranks crawled by this run,
+                    # so the outcome counts come from the store: SQL
+                    # aggregates, no decoding.
+                    ok = store.count_successful()
+                    failure_counts = store.failure_counts()
         if pool.stop_requested:
             print(f"crawl interrupted — checkpoint saved to "
                   f"{args.database}; rerun with --resume to finish")
@@ -382,11 +389,7 @@ def main(argv: list[str] | None = None) -> int:
             print(telemetry.render())
         snapshot = telemetry.snapshot()
         if args.no_collect:
-            # The dataset was deliberately not kept in memory; telemetry
-            # carries the same per-visit accounting.
-            attempted, ok = snapshot.completed + snapshot.resumed, \
-                snapshot.succeeded
-            failure_counts = snapshot.failure_counts
+            attempted = snapshot.completed + snapshot.resumed
         else:
             attempted, ok = dataset.attempted, dataset.successful_count
             failure_counts = dataset.failure_summary()

@@ -38,7 +38,7 @@ import time
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -155,50 +155,155 @@ _CHILD_COLUMNS = {
 }
 
 
+_STR = frozenset({str})
+
+
+def _dumps_dict(value, memo: dict) -> str:
+    """``json.dumps(value)`` for a frame's header or attribute dict.
+
+    Equal all-``str`` dicts are encoded once per ``memo`` (one per saved
+    chunk), keyed on their items in order.  Any other value is encoded
+    afresh: ``1``, ``1.0`` and ``True`` are equal keys that encode
+    differently.
+    """
+    if type(value) is not dict or not _STR.issuperset(
+            map(type, chain(value, value.values()))):
+        return json.dumps(value)
+    key = tuple(value.items())
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = json.dumps(value)
+    return text
+
+
+def _dumps_list(values, memo: dict) -> str:
+    """``json.dumps(list(values))`` for a call's permissions or args,
+    encoded once per ``memo`` when every item is a ``str`` (as in
+    :func:`_dumps_dict`)."""
+    key = tuple(values)
+    if not _STR.issuperset(map(type, key)):
+        return json.dumps(key)
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = json.dumps(key)
+    return text
+
+
 def _visit_from_row(row: tuple) -> SiteVisit:
-    return SiteVisit(
-        rank=row[0], requested_url=row[1], final_url=row[2],
-        success=bool(row[3]), failure=row[4],
-        top_level_document_count=row[5],
-        skipped_lazy_iframes=row[6],
-        iframe_load_failures=row[7], duration_seconds=row[8],
-        retries=row[9], error_detail=row[10])
+    # Positional, in field order: the four empty lists are frames, calls,
+    # scripts and prompts, which _attach_children fills.
+    return SiteVisit(row[0], row[1], row[2], bool(row[3]), row[4],
+                     [], [], [], [], row[5], row[6], row[7], row[8],
+                     row[9], row[10])
 
 
-def _frame_from_row(row: tuple) -> FrameRecord:
+#: Cell types whose values equal only values of their own type (``1``,
+#: ``1.0`` and ``True`` are equal dict keys, so ``float`` is left out;
+#: SQLite never returns ``bool``).  A row made of these is a type-exact
+#: memo key.
+_EXACT_TYPES = frozenset({int, str, type(None)})
+
+
+def _exact_key(row: tuple) -> "tuple | None":
+    """``row`` without its rank, as a memo key, or ``None`` (never stored,
+    so never found) when equality would not be type-exact: a REAL, BLOB,
+    ... cell from a damaged or foreign store."""
+    key = row[1:]
+    return key if _EXACT_TYPES.issuperset(map(type, key)) else None
+
+
+def _json_dict(text, memo: dict):
+    """Parse one stored ``headers`` / ``iframe_attributes`` text.
+
+    Equal texts are parsed once per ``memo``; every caller gets a fresh
+    ``dict`` copy, because the records hand the dict out and it is
+    mutable.  Only a flat ``dict[str, str]`` is memoized (a shallow copy
+    of anything else would still share its insides); a text that fails to
+    parse raises each time it is seen.
+    """
+    parsed = memo.get(text)
+    if parsed is None:
+        parsed = json.loads(text)
+        if type(parsed) is not dict or not all(
+                type(value) is str for value in parsed.values()):
+            return parsed
+        memo[text] = parsed
+    return parsed.copy()
+
+
+def _frame_from_row(row: tuple, memo: dict) -> FrameRecord:
+    attributes = row[9]
     return FrameRecord(
-        frame_id=row[1], url=row[2], origin=row[3], site=row[4],
-        parent_id=row[5], depth=row[6], is_local=bool(row[7]),
-        headers=json.loads(row[8]),
-        iframe_attributes=(json.loads(row[9])
-                           if row[9] is not None else None))
+        row[1], row[2], row[3], row[4], row[5], row[6], bool(row[7]),
+        _json_dict(row[8], memo),
+        None if attributes is None else _json_dict(attributes, memo))
 
 
-def _call_from_row(row: tuple) -> CallRecord:
-    return CallRecord(
-        frame_id=row[1], api=row[2], kind=row[3],
-        permissions=tuple(json.loads(row[4])),
-        args=tuple(json.loads(row[5])),
-        script_url=row[6], allowed=bool(row[7]))
+def _call_from_row(row: tuple, memo: dict) -> CallRecord:
+    key = _exact_key(row)
+    record = memo.get(key)
+    if record is None:
+        permissions = tuple(json.loads(row[4]))
+        args = tuple(json.loads(row[5]))
+        record = CallRecord(row[1], row[2], row[3], permissions, args,
+                            row[6], bool(row[7]))
+        # Shared only when every value is immutable.
+        if key is not None and all(
+                type(value) is str for value in permissions + args):
+            memo[key] = record
+    return record
 
 
-def _script_from_row(row: tuple) -> ScriptSourceRecord:
-    return ScriptSourceRecord(frame_id=row[1], url=row[2], source=row[3])
+def _script_from_row(row: tuple, memo: dict) -> ScriptSourceRecord:
+    key = _exact_key(row)
+    record = memo.get(key)
+    if record is None:
+        record = ScriptSourceRecord(row[1], row[2], row[3])
+        if key is not None:
+            memo[key] = record
+    return record
 
 
-def _prompt_from_row(row: tuple) -> PromptRecord:
-    return PromptRecord(
-        permission=row[2], requesting_frame_id=row[1],
-        display_site=row[3], text=row[4])
+def _prompt_from_row(row: tuple, memo: dict) -> PromptRecord:
+    key = _exact_key(row)
+    record = memo.get(key)
+    if record is None:
+        record = PromptRecord(row[2], row[1], row[3], row[4])
+        if key is not None:
+            memo[key] = record
+    return record
 
 
-#: Per child table: row decoder and the visit list its records join.
+#: Per child table (named like the :class:`SiteVisit` list its records
+#: join): the row decoder.  Frames get fresh header dicts per row; a
+#: whole ``calls`` / ``scripts`` / ``prompts`` row decodes to one frozen
+#: record shared by every equal row of one read.
 _CHILD_DECODERS = {
-    "frames": (_frame_from_row, lambda visit: visit.frames),
-    "calls": (_call_from_row, lambda visit: visit.calls),
-    "scripts": (_script_from_row, lambda visit: visit.scripts),
-    "prompts": (_prompt_from_row, lambda visit: visit.prompts),
+    "frames": _frame_from_row,
+    "calls": _call_from_row,
+    "scripts": _script_from_row,
+    "prompts": _prompt_from_row,
 }
+
+
+def _rank_span(after: "int | None", first: "int | None",
+               last: "int | None") -> "tuple[str, tuple]":
+    """A ``WHERE`` clause and its parameters for the ranks above
+    ``after`` (from ``first`` when ``after`` is ``None``) up to ``last``;
+    a ``None`` bound is open."""
+    clauses: list[str] = []
+    params: list[int] = []
+    if after is not None:
+        clauses.append("rank > ?")
+        params.append(after)
+    elif first is not None:
+        clauses.append("rank >= ?")
+        params.append(first)
+    if last is not None:
+        clauses.append("rank <= ?")
+        params.append(last)
+    where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
+    return where, tuple(params)
 
 
 def _user_version(conn: sqlite3.Connection) -> int:
@@ -397,17 +502,20 @@ class CrawlStore:
         call_rows: list[tuple] = []
         script_rows: list[tuple] = []
         prompt_rows: list[tuple] = []
+        dict_texts: dict = {}
+        list_texts: dict = {}
         for visit in chunk:
             rank = visit.rank
             frames = [
                 (rank, f.frame_id, f.url, f.origin, f.site, f.parent_id,
-                 f.depth, int(f.is_local), json.dumps(f.headers),
-                 json.dumps(f.iframe_attributes)
+                 f.depth, int(f.is_local), _dumps_dict(f.headers, dict_texts),
+                 _dumps_dict(f.iframe_attributes, dict_texts)
                  if f.iframe_attributes is not None else None)
                 for f in visit.frames]
             calls = [
                 (rank, c.frame_id, c.api, c.kind,
-                 json.dumps(list(c.permissions)), json.dumps(list(c.args)),
+                 _dumps_list(c.permissions, list_texts),
+                 _dumps_list(c.args, list_texts),
                  c.script_url, int(c.allowed))
                 for c in visit.calls]
             scripts = [(rank, s.frame_id, s.url, s.source)
@@ -501,7 +609,7 @@ class CrawlStore:
                 except Exception:
                     corrupt["visits"] += 1
             by_rank = {visit.rank: visit for visit in dataset.visits}
-            self._attach_children(by_rank, orphans, corrupt=corrupt)
+            self._attach_children(by_rank, orphans, corrupt)
         self.last_orphan_counts = dict(orphans)
         self.last_corrupt_counts = dict(corrupt)
         if _metrics.COUNTING:
@@ -531,44 +639,53 @@ class CrawlStore:
             detail, self.path)
 
     def _attach_children(self, by_rank: dict[int, SiteVisit],
-                         orphans: Counter,
+                         orphans: Counter, corrupt: Counter,
                          where: str = "", params: tuple = (),
-                         corrupt: "Counter | None" = None,
                          corrupt_ranks: "dict[int, str] | None" = None
                          ) -> None:
         """Attach frame/call/script/prompt rows to their visits.
 
-        ``ORDER BY rowid`` restores per-visit record order: ``save_visits``
-        writes each visit's child rows contiguously, so rowid order within
-        one rank equals insertion order even when chunks were saved
-        out of rank order.
+        ``ORDER BY rank, rowid`` restores per-visit record order:
+        ``save_visits`` writes each visit's child rows contiguously, so
+        rowid order within one rank equals insertion order even when
+        chunks were saved out of rank order.  The ``idx_*_rank`` indexes
+        serve that order without a sort, and rows arrive in runs of one
+        rank, so the visit lookup happens once per run.
 
-        With ``corrupt`` given, rows that fail to decode are skipped and
-        counted per table instead of raising; ``corrupt_ranks`` (used by
-        :meth:`_decode_visits`) additionally records which rank each
-        decode failure belongs to.
+        Each distinct stored value is decoded once per call: equal header
+        texts are parsed once (each frame still gets its own dict), and
+        equal ``calls`` / ``scripts`` / ``prompts`` rows share one frozen
+        record.  The memo lives for this call only, which bounds it by one
+        :meth:`iter_visits` batch.
+
+        Rows whose rank has no visit in ``by_rank`` are counted in
+        ``orphans``; rows that fail to decode are skipped and counted per
+        table in ``corrupt`` (every time, as a failure is never memoized).
+        ``corrupt_ranks`` (used by :meth:`_decode_visits`) additionally
+        records which rank each decode failure belongs to.
         """
         conn = self._conn
-        for table, (from_row, records_of) in _CHILD_DECODERS.items():
+        for table, from_row in _CHILD_DECODERS.items():
+            memo: dict = {}
+            run_rank = records = None
             for row in conn.execute(
                     f"SELECT {_CHILD_COLUMNS[table]} FROM {table}{where} "
-                    "ORDER BY rowid", params):
-                visit = by_rank.get(row[0])
-                if visit is None:
+                    "ORDER BY rank, rowid", params):
+                if row[0] != run_rank:
+                    run_rank = row[0]
+                    visit = by_rank.get(run_rank)
+                    records = None if visit is None else getattr(visit, table)
+                if records is None:
                     orphans[table] += 1
                     continue
                 try:
-                    record = from_row(row)
+                    records.append(from_row(row, memo))
                 except Exception as exc:
-                    if corrupt is None:
-                        raise
                     corrupt[table] += 1
                     if (corrupt_ranks is not None
                             and row[0] not in corrupt_ranks):
                         corrupt_ranks[row[0]] = _safe_text(
                             f"{table}: {type(exc).__name__}: {exc}")
-                    continue
-                records_of(visit).append(record)
 
     def iter_visits(self, *, batch_size: int = _SQL_IN_CHUNK,
                     min_rank: "int | None" = None,
@@ -579,12 +696,16 @@ class CrawlStore:
         Yields exactly what :meth:`load_dataset` would return, but only
         ``batch_size`` visits (plus their child rows) are resident at a
         time: the visits table is walked with keyset pagination
-        (``WHERE rank > last``) and children are attached per batch.  The
-        writer lock is taken per batch, not across the whole iteration, so
-        concurrent writers are never starved.  Orphan and corrupt rows are
-        skipped and counted exactly as in :meth:`load_dataset`;
-        :attr:`last_orphan_counts` / :attr:`last_corrupt_counts` are
-        populated when the iterator is exhausted.
+        (``WHERE rank > last``), and each child table is read over the
+        batch's rank range (``rank > previous last AND rank <= last``; the
+        final batch has no upper bound).  The writer lock is taken per
+        batch, not across the whole iteration, so concurrent writers are
+        never starved.  Because the ranges tile the whole walk, orphan
+        child rows (before the first rank, between two visits, after the
+        last) and corrupt rows are skipped and counted exactly as in
+        :meth:`load_dataset`; :attr:`last_orphan_counts` /
+        :attr:`last_corrupt_counts` are populated when the iterator is
+        exhausted.
 
         ``min_rank`` / ``max_rank`` bound the walk to an inclusive rank
         span — the process-parallel summarize streams one contiguous span
@@ -594,46 +715,34 @@ class CrawlStore:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         orphans: Counter = Counter()
         corrupt: Counter = Counter()
-        last_rank: "int | None" = None
+        previous: "int | None" = None  # last rank of the batch before
         loaded = 0
-        while True:
+        done = False
+        while not done:
             with self._lock:
-                conn = self._conn
-                clauses: list[str] = []
-                params: list[int] = []
-                if last_rank is not None:
-                    clauses.append("rank > ?")
-                    params.append(last_rank)
-                elif min_rank is not None:
-                    clauses.append("rank >= ?")
-                    params.append(min_rank)
-                if max_rank is not None:
-                    clauses.append("rank <= ?")
-                    params.append(max_rank)
-                where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
-                rows = conn.execute(
+                where, params = _rank_span(previous, min_rank, max_rank)
+                rows = self._conn.execute(
                     f"SELECT {_VISIT_COLUMNS} FROM visits{where} "
-                    "ORDER BY rank LIMIT ?",
-                    (*params, batch_size)).fetchall()
-                if not rows:
-                    break
-                last_rank = rows[-1][0]
+                    "ORDER BY rank LIMIT ?", (*params, batch_size)).fetchall()
+                # A full batch's child range ends at its last rank; the
+                # last (short) batch's runs on to max_rank, so trailing
+                # orphans are seen.
+                done = len(rows) < batch_size
+                if not done:
+                    where, params = _rank_span(previous, min_rank,
+                                               rows[-1][0])
+                    previous = rows[-1][0]
                 by_rank: dict[int, SiteVisit] = {}
                 for row in rows:
                     try:
                         by_rank[row[0]] = _visit_from_row(row)
                     except Exception:
                         corrupt["visits"] += 1
-                ranks = sorted(by_rank)
-                for start in range(0, len(ranks), _SQL_IN_CHUNK):
-                    chunk = ranks[start:start + _SQL_IN_CHUNK]
-                    marks = ",".join("?" * len(chunk))
-                    self._attach_children(
-                        by_rank, orphans, f" WHERE rank IN ({marks})",
-                        tuple(chunk), corrupt=corrupt)
-            for rank in ranks:
-                yield by_rank[rank]
-                loaded += 1
+                self._attach_children(by_rank, orphans, corrupt, where,
+                                      params)
+            for visit in by_rank.values():
+                yield visit
+            loaded += len(by_rank)
         self.last_orphan_counts = dict(orphans)
         self.last_corrupt_counts = dict(corrupt)
         if _metrics.COUNTING:
@@ -748,8 +857,8 @@ class CrawlStore:
                         by_rank[row[0]] = _visit_from_row(row)
                     except Exception:
                         corrupt["visits"] += 1
-                self._attach_children(by_rank, orphans, where, tuple(chunk),
-                                      corrupt=corrupt)
+                self._attach_children(by_rank, orphans, corrupt, where,
+                                      tuple(chunk))
         self.last_corrupt_counts = dict(corrupt)
         if _metrics.COUNTING:
             _metrics.REGISTRY.counter("store.visits_loaded").inc(len(by_rank))
@@ -951,8 +1060,8 @@ class CrawlStore:
                 except Exception as exc:
                     errors[row[0]] = _safe_text(
                         f"visits: {type(exc).__name__}: {exc}")
-            self._attach_children(by_rank, Counter(), where, tuple(chunk),
-                                  corrupt=Counter(), corrupt_ranks=errors)
+            self._attach_children(by_rank, Counter(), Counter(), where,
+                                  tuple(chunk), corrupt_ranks=errors)
         return {rank: visit for rank, visit in by_rank.items()
                 if rank not in errors}
 

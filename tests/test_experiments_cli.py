@@ -112,6 +112,35 @@ class TestCli:
         second = capsys.readouterr().out
         assert "120 resumed" in second
 
+    def test_no_collect_resume_summary_matches_uninterrupted_run(
+            self, tmp_path, capsys):
+        import re
+        import sqlite3
+
+        def summary(database: str, *extra: str) -> tuple:
+            assert main(["crawl", "--sites", "120", "--no-collect",
+                         "--database", database, *extra]) == 0
+            line = capsys.readouterr().out.strip().splitlines()[-1]
+            match = re.match(r"crawled (\d+) sites \((\d+) ok; (.*?)"
+                             r"(?:; (\d+) resumed)?\) via", line)
+            assert match, line
+            return match.groups()
+
+        full = summary(str(tmp_path / "full.sqlite"))
+        partial = str(tmp_path / "partial.sqlite")
+        summary(partial)
+        # Keep every third rank, as a crawl interrupted part-way would.
+        conn = sqlite3.connect(partial)
+        with conn:
+            for table in ("visits", "frames", "calls", "scripts", "prompts"):
+                conn.execute(f"DELETE FROM {table} WHERE rank % 3 != 0")
+        conn.close()
+        resumed = summary(partial, "--resume")
+        assert full[3] is None and resumed[3] == "40"
+        # Telemetry alone would count only the 80 ranks crawled now.
+        assert resumed[:3] == full[:3]
+        assert int(full[1]) < 120 and full[2]
+
     def test_telemetry_subcommand(self, capsys):
         assert main(["telemetry", "--sites", "100", "--workers", "2",
                      "--fault-rate", "0.25", "--crash-rate", "0.05",
