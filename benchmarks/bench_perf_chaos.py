@@ -16,8 +16,10 @@ Enforced gates (also recorded under ``gates`` in the document):
 * the chaos run completes without raising, within the rebuild budget;
 * its export is byte-identical (SHA-256) to the crash-free baseline's
   minus exactly the quarantined poison ranks;
-* quarantined ranks == the injection plan's poison ranks — isolation
-  probes exonerate innocent bystander chunks, so nothing else is lost;
+* quarantined ranks == the injection plan's poison ranks — crash
+  breadcrumbs strike only the chunk a dead worker was running (and
+  probation exonerates bystanders when none is named), so nothing else
+  is lost;
 * every once-only injection fired exactly per plan, the watchdog caught
   the hang, and the merge error was retried;
 * no ``.wchunk-*`` sidecar wreckage survives the run;

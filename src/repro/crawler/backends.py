@@ -53,10 +53,12 @@ import hashlib
 import itertools
 import logging
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import signal
 import sqlite3
+import tempfile
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, \
@@ -74,7 +76,7 @@ from repro.crawler.fetcher import SyntheticFetcher
 from repro.crawler.records import SiteVisit
 from repro.crawler.resilience import FaultInjectingFetcher, RetryPolicy
 from repro.crawler.supervisor import POISON_VISIT, ChunkSupervisor, \
-    PoolCrashError, SupervisorConfig
+    PoolCrashError, SupervisorConfig, attribute_crash
 from repro.crawler.telemetry import ChunkTelemetry, CrawlTelemetry
 from repro.obs import metrics as _metrics
 from repro.obs.tracing import TRACER
@@ -369,6 +371,9 @@ class _ChunkJob:
     #: Deterministic failure injection (chaos drills); consulted at chunk
     #: pickup before any visit runs.
     chaos: "ChaosPolicy | None" = None
+    #: Supervised runs only: the directory where the worker leaves its
+    #: crash breadcrumb (:func:`_leave_breadcrumb`).
+    breadcrumb_dir: "str | None" = None
 
 
 @dataclass(frozen=True)
@@ -399,18 +404,46 @@ class _ChunkResult:
     metrics: "dict | None" = None
 
 
+def _leave_breadcrumb(directory: "str | None", chunk_index: int
+                     ) -> "str | None":
+    """Write ``chunk_index`` to this worker's breadcrumb file.
+
+    The file is named after the worker's pid, so on a pool crash the
+    parent can tell which chunk a dead worker was running.  Process death
+    does not lose a completed ``write`` (the data is in the page cache),
+    so no fsync is needed.  Best-effort: returns the path, or ``None``
+    when there is no directory or the write failed (the parent then
+    falls back to probation).
+    """
+    if directory is None:
+        return None
+    path = os.path.join(directory, str(os.getpid()))
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        try:
+            os.write(fd, str(chunk_index).encode())
+        finally:
+            os.close(fd)
+    except OSError:
+        return None
+    return path
+
+
 def _crawl_chunk(job: _ChunkJob) -> _ChunkResult:
     """Worker entry point: crawl one chunk on the warm serial pool.
 
-    Observability state is process-global and carries over between chunks
-    in a long-lived worker — so it is set up per job and torn back down in
-    ``finally``.  The chunk runs against a worker-local
+    Under supervision the worker first leaves a breadcrumb naming the
+    chunk, and clears it when the chunk returns.  Observability state is
+    process-global and carries over between chunks in a long-lived
+    worker — so it is set up per job and torn back down in ``finally``.
+    The chunk runs against a worker-local
     :class:`~repro.crawler.telemetry.CrawlTelemetry`; its snapshot ships
     back as a :class:`~repro.crawler.telemetry.ChunkTelemetry` delta (this
     is also how guard events cross the process boundary).
     """
     from repro.crawler.storage import CrawlStore
 
+    breadcrumb = _leave_breadcrumb(job.breadcrumb_dir, job.chunk_index)
     _ignore_shutdown_signals()
     if job.trace:
         TRACER.clear()
@@ -457,6 +490,9 @@ def _crawl_chunk(job: _ChunkJob) -> _ChunkResult:
         if job.count:
             _metrics.disable_metrics()
             _metrics.REGISTRY.reset()
+        if breadcrumb is not None:
+            with suppress(OSError):
+                os.unlink(breadcrumb)
 
 
 def _mp_context(name: "str | None" = None
@@ -480,8 +516,10 @@ class _ChunkScheduler:
     per-site cost, then grows chunk sizes toward
     :data:`TARGET_CHUNK_SECONDS` using the cumulative measured rate,
     capped by a fair share of the remaining ranks so the tail stays
-    balanced across workers.  Replay mode consumes an explicit recorded
-    size list and reproduces the exact same partition.
+    balanced across workers (the cap never goes below
+    :data:`MIN_CHUNK_SIZE`, so only the last chunk is smaller).  Replay
+    mode consumes an explicit recorded size list and reproduces the exact
+    same partition.
 
     Chunk sizes never affect dataset bytes (results merge in rank order),
     so adaptivity cannot break determinism; the realised schedule is still
@@ -530,7 +568,10 @@ class _ChunkScheduler:
         else:
             rate = self._sites_done / self._seconds_done
             goal = int(rate * TARGET_CHUNK_SECONDS)
-            fair = -(-remaining // self.workers)  # ceil: tail balance
+            # Fair share of the tail (ceil), floored so the tail does not
+            # fragment into per-rank chunks; only the final remainder is
+            # smaller than MIN_CHUNK_SIZE.
+            fair = max(MIN_CHUNK_SIZE, -(-remaining // self.workers))
             size = min(max(MIN_CHUNK_SIZE, min(MAX_CHUNK_SIZE, goal)), fair)
         size = max(1, min(size, remaining))
         self.sizes.append(size)
@@ -582,6 +623,31 @@ def _kill_executor_workers(executor: ProcessPoolExecutor) -> None:
     for pid in list(processes):
         with suppress(ProcessLookupError, OSError):
             os.kill(pid, kill_signal)
+
+
+def _crashed_worker_breadcrumbs(executor: ProcessPoolExecutor,
+                                directory: Path) -> list["int | None"]:
+    """The chunk indices that the breadcrumbs of dead workers name.
+
+    Called on ``BrokenProcessPool`` before the survivors are SIGKILLed.
+    A worker whose ``Process.sentinel`` is already readable exited on its
+    own: the executor only SIGTERMs its siblings, which ignore it and stay
+    alive.  One entry per exited worker, ``None`` when its breadcrumb is
+    empty or missing (it died between chunks).  Uses
+    ``executor._processes`` like :func:`_kill_executor_workers`, and finds
+    nothing if that map is gone.
+    """
+    processes = dict(getattr(executor, "_processes", None) or {})
+    sentinels = {process.sentinel: pid for pid, process in processes.items()}
+    breadcrumbs: list["int | None"] = []
+    for sentinel in multiprocessing.connection.wait(list(sentinels),
+                                                    timeout=0):
+        try:
+            text = (directory / str(sentinels[sentinel])).read_text()
+        except OSError:
+            text = ""
+        breadcrumbs.append(int(text) if text.isdigit() else None)
+    return breadcrumbs
 
 
 def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
@@ -650,6 +716,10 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
                                 replay=pool.chunk_schedule)
     sup = (ChunkSupervisor(supervisor) if supervisor is not None else None)
     pool.last_supervisor_stats = None
+    #: Per-run directory of worker crash breadcrumbs (supervised only).
+    breadcrumbs = (tempfile.TemporaryDirectory(prefix="repro-breadcrumbs-",
+                                               ignore_cleanup_errors=True)
+                   if sup is not None else None)
     total = len(targets)
     visits: list[SiteVisit] = []
     completed = 0
@@ -664,7 +734,8 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
     #: scheduler hands out fresh chunks.
     requeued: "deque[tuple[int, ...]]" = deque()
     #: Rank tuples to probe in isolation (pipeline drained first, one at
-    #: a time) so a crash attributes guilt exactly.
+    #: a time) so a crash attributes guilt exactly — the fallback for
+    #: crashes that no breadcrumb names.
     probation: "deque[tuple[int, ...]]" = deque()
     #: The probation chunk currently running alone, if any.
     probe_job: "_ChunkJob | None" = None
@@ -680,7 +751,9 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
         job = _ChunkJob(recipe=recipe, web_fp=web_fp, pool_fp=pool_fp,
                         ranks=ranks, chunk_index=chunk_index,
                         sidecar_path=sidecar, collect=collect,
-                        trace=trace, count=count, chaos=chaos)
+                        trace=trace, count=count, chaos=chaos,
+                        breadcrumb_dir=(breadcrumbs.name
+                                        if breadcrumbs is not None else None))
         chunk_index += 1
         try:
             future = executor.submit(_crawl_chunk, job)
@@ -701,6 +774,9 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
         if requeued:
             submit_ranks(requeued.popleft())
             return True
+        if sup is not None and sup.holds_fresh_chunks(
+                jobs[f].ranks for f in pending if f in jobs):
+            return False
         size = scheduler.next_size()
         if size <= 0:
             return False
@@ -711,7 +787,8 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
 
     def apply_plan(plan) -> None:
         nonlocal quarantined_count
-        requeued.extend(plan.requeue)
+        # The latest failure's chunks go ahead of older requeues.
+        requeued.extendleft(reversed(plan.requeue))
         probation.extend(plan.probation)
         for rank, detail in plan.quarantine:
             logger.error("quarantining poison rank %d (%s)", rank, detail)
@@ -794,6 +871,11 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
         """Supervised ``BrokenProcessPool`` handling: ingest what finished,
         sweep the wreckage, rebuild the pool, requeue the rest."""
         nonlocal executor, probe_job
+        # Read the dead workers' breadcrumbs first: once the survivors
+        # are killed every worker looks dead.  The watchdog has already
+        # killed them for a hang, and it names the hung chunk itself.
+        exited = ([] if cause == "hang" else _crashed_worker_breadcrumbs(
+            executor, Path(breadcrumbs.name)))
         lost_jobs = [jobs.pop(f) for f in crashed if f in jobs]
         # Everything still outstanding is doomed (the executor is broken)
         # — but a chunk whose result landed just before the break is a
@@ -848,13 +930,16 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
             for job in lost_jobs:
                 sup.note_finished(job.chunk_index)
             lost = [job.ranks for job in lost_jobs]
+            named = attribute_crash(
+                exited, {job.chunk_index: job.ranks for job in lost_jobs})
             logger.error(
                 "worker pool crash (%s): lost %d in-flight chunk(s), "
-                "rebuild %d/%d", cause, len(lost), sup.rebuilds + 1,
+                "breadcrumbs name %s, rebuild %d/%d", cause, len(lost),
+                sorted(named) or "none", sup.rebuilds + 1,
                 sup.config.max_pool_rebuilds)
             apply_plan(sup.on_pool_crash(lost, cause=cause,
                                          suspects=suspects,
-                                         certain=certain))
+                                         certain=certain, named=named))
             executor = warm_executor(pool.workers, start_method,
                                      initargs=(recipe_blob, web_fp, pool_fp))
 
@@ -945,7 +1030,10 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
         # Unsupervised: a worker died hard (OOM kill, segfault); the
         # executor is unusable, so drop it — the next run builds a fresh
         # warm pool — and sweep the crashed workers' sidecar files rather
-        # than leaking them until that run starts.
+        # than leaking them until that run starts.  Kill the survivors
+        # first: they ignore the executor's SIGTERM, and one finishing
+        # its chunk would write a sidecar after the sweep.
+        _kill_executor_workers(executor)
         shutdown_warm_pool()
         if store is not None:
             _sweep_chunk_sidecars(store.path)
@@ -953,6 +1041,9 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
     except PoolCrashError:
         pool.last_supervisor_stats = sup.stats()
         raise
+    finally:
+        if breadcrumbs is not None:
+            breadcrumbs.cleanup()
 
     if sup is not None:
         pool.last_supervisor_stats = sup.stats()

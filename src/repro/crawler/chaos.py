@@ -123,9 +123,10 @@ class ChaosPolicy:
 
         Crash injections (kills, poisons, merge errors) are placed in the
         *first half* of the rank space and hangs in the *last quarter*:
-        chunks dispatch in rank order, so the crash storm — including the
-        poison rank's bisection probes, which drain the pipeline — is
-        resolved before any hang chunk is in flight.  That keeps the
+        chunks dispatch in rank order, and no fresh chunk is dispatched
+        while a chunk a crash breadcrumb named reruns, so the crash storm
+        — including the crashes that bisect the poison rank's chunk down
+        to the rank — is resolved before any hang chunk is in flight.  That keeps the
         watchdog the sole owner of the hang (a crash recovery that
         happened to doom a co-flying hung chunk would otherwise absorb
         it, leaving ``watchdog_hangs`` racy).

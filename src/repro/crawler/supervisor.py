@@ -12,19 +12,34 @@ supervisor turns those events into bounded, deterministic recovery:
   of ``(seed, rank)``, so a replayed chunk produces byte-identical rows —
   recovery cannot change the dataset.
 
-* **Poison bisection.**  A bare ``BrokenProcessPool`` cannot say *which*
-  in-flight chunk killed the worker, so every lost chunk takes a
-  *strike*.  A chunk reaching :attr:`SupervisorConfig.suspect_strikes`
-  is put on **probation**: the backend drains the pipeline and re-runs
-  it alone, making attribution exact — a crash now proves guilt, a clean
-  pass exonerates the chunk (strikes cleared; innocent bystanders that
-  merely shared a doomed pool never get quarantined).  A guilty
-  multi-rank chunk is bisected and its halves probe in isolation, so
-  each crash halves the suspect span; a guilty single-rank chunk is
+* **Breadcrumb attribution.**  A bare ``BrokenProcessPool`` cannot say
+  *which* in-flight chunk killed the worker, so each supervised worker
+  writes the index of the chunk it is about to run into a per-worker
+  breadcrumb file, and clears it when the chunk returns.  On a crash the
+  backend reads the breadcrumbs of the workers that exited on their own
+  (:func:`attribute_crash` turns them into the named lost chunks).  Only
+  a named chunk takes a *strike*; every other lost chunk requeues
+  strike-free.  A named chunk reaching
+  :attr:`SupervisorConfig.suspect_strikes` is bisected into two ordinary
+  requeued halves (which inherit its strikes), so each further crash
+  halves the suspect span; a named single rank at the threshold is
   *quarantined*: recorded in the store's ``quarantine`` table (the PR-5
   corrupt-row mechanism) under the ``poison-visit`` taxonomy, and the
-  rest of the run proceeds without it.  Isolating one poison rank out of
-  a chunk of *n* costs about ``suspect_strikes + log2(n)`` rebuilds.
+  rest of the run proceeds without it.  Nothing drains the pipeline or
+  runs alone.  Named chunks rerun ahead of the bystanders, and while one
+  is in flight no fresh chunk starts
+  (:meth:`ChunkSupervisor.holds_fresh_chunks`), so a poison rank's
+  crashes come back to back and kill no new work.  Isolating one poison
+  rank out of a chunk of *n* costs about ``suspect_strikes + log2(n)``
+  rebuilds.
+
+* **Probation (fallback).**  When a crash names no lost chunk (the dead
+  worker left no breadcrumb), every lost chunk takes a strike, and a
+  chunk reaching ``suspect_strikes`` is put on **probation**: the
+  backend drains the pipeline and re-runs it alone, so a crash proves
+  guilt (a multi-rank chunk bisects into probation halves, a single rank
+  is quarantined) and a clean pass exonerates it (strikes cleared).
+  Each ``pool-rebuild`` event records how its crash was attributed.
 
 * **Hang watchdog.**  Chunk deadlines derive from the adaptive
   scheduler's observed rate (``watchdog_factor ×`` the expected chunk
@@ -53,7 +68,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.obs import metrics as _metrics
 
@@ -144,13 +159,32 @@ class PoolCrashError(RuntimeError):
 class RecoveryPlan:
     """What the backend must do after a pool crash (or merge failure)."""
 
-    #: Rank tuples to resubmit, in order (bisected halves stay contiguous).
+    #: Rank tuples to resubmit, in order: chunks a breadcrumb named (or
+    #: their bisected halves, kept contiguous) ahead of the bystanders.
     requeue: tuple[tuple[int, ...], ...]
     #: ``(rank, detail)`` pairs to quarantine as ``poison-visit``.
     quarantine: tuple[tuple[int, str], ...]
     #: Rank tuples to re-run *in isolation* (pipeline drained, one at a
     #: time) so the next crash or clean pass attributes guilt exactly.
+    #: Only the fallback for crashes no breadcrumb attributes fills it.
     probation: tuple[tuple[int, ...], ...] = ()
+
+
+def attribute_crash(breadcrumbs: "Iterable[int | None]",
+                    lost: "Mapping[int, tuple[int, ...]]",
+                    ) -> dict[int, tuple[int, ...]]:
+    """The lost chunks that the crashed workers' breadcrumbs name.
+
+    ``breadcrumbs`` holds one entry per worker that exited on its own:
+    the chunk index its breadcrumb file named, or ``None`` when the file
+    was empty or missing (the worker died between chunks).  ``lost`` maps
+    each lost chunk's index to its ranks.  A breadcrumb naming no lost
+    chunk is ignored, so the result (chunk index → ranks, in index
+    order) is empty whenever the crash cannot be attributed exactly.
+    """
+    named = {index for index in breadcrumbs if index is not None}
+    return {index: tuple(lost[index]) for index in sorted(named)
+            if index in lost}
 
 
 class ChunkSupervisor:
@@ -173,8 +207,11 @@ class ChunkSupervisor:
         self.config = config
         self._clock = clock
         self._strikes: dict[tuple[int, ...], int] = {}
+        #: Chunks a breadcrumb named, and the halves they bisected into.
+        self._named: set[tuple[int, ...]] = set()
         self._submitted_at: dict[int, float] = {}
         self.rebuilds = 0
+        self.attributed_crashes = 0
         self.requeued_chunks = 0
         self.requeued_ranks = 0
         self.bisections = 0
@@ -196,6 +233,14 @@ class ChunkSupervisor:
         self.merge_retries += 1
         if _metrics.COUNTING:
             _metrics.REGISTRY.counter("supervisor.merge_retries").inc()
+
+    def holds_fresh_chunks(self,
+                           in_flight: "Iterable[tuple[int, ...]]") -> bool:
+        """Whether fresh chunks must wait: a chunk a breadcrumb named (or
+        one of its halves) is in flight.  Its rerun may crash the pool
+        again, and a crash kills every chunk beside it, so only requeued
+        chunks keep it company until it completes or crashes."""
+        return any(tuple(ranks) in self._named for ranks in in_flight)
 
     # -- watchdog -----------------------------------------------------------
 
@@ -231,13 +276,20 @@ class ChunkSupervisor:
     def on_pool_crash(self, lost: "Sequence[tuple[int, ...]]", *,
                       cause: str,
                       suspects: "Sequence[tuple[int, ...]] | None" = None,
-                      certain: bool = False) -> RecoveryPlan:
+                      certain: bool = False,
+                      named: "Mapping[int, tuple[int, ...]] | None" = None,
+                      ) -> RecoveryPlan:
         """One pool crash: spend a rebuild, plan requeues and quarantines.
 
-        ``lost`` is every chunk (as its rank tuple) that was in flight;
-        ``suspects`` limits which of them take a strike (the watchdog
-        knows exactly which chunk hung — a bare ``BrokenProcessPool``
-        cannot attribute, so all lost chunks are suspect).  With
+        ``lost`` is every chunk (as its rank tuple) that was in flight.
+        ``named`` (chunk index → ranks, from :func:`attribute_crash`)
+        attributes the crash exactly: only the named chunks take a
+        strike, a named chunk at ``suspect_strikes`` bisects into
+        requeued halves or, as a single rank, is quarantined, and the
+        other lost chunks requeue strike-free.  Without a name,
+        ``suspects`` limits which lost chunks take a strike (the watchdog
+        knows exactly which chunk hung; otherwise all are suspect) and a
+        suspect at the threshold goes on probation.  With
         ``certain=True`` the crash happened while a probation chunk ran
         alone, which *proves* its guilt: a multi-rank chunk bisects into
         probation halves, a single rank is quarantined on the spot.
@@ -259,12 +311,21 @@ class ChunkSupervisor:
                 events=self.events + [{
                     "event": "budget-exhausted", "cause": cause,
                     "chunks_lost": len(lost)}])
+        if named:
+            self.attributed_crashes += 1
+            attribution = {"attribution": "breadcrumb",
+                           "named_chunks": sorted(named)}
+            suspects = list(named.values())
+        else:
+            attribution = {"attribution": ("watchdog" if cause == "hang"
+                                           else "fallback")}
         suspect_set = (set(lost) if suspects is None
                        else {tuple(ranks) for ranks in suspects})
         plan = self._plan(lost, cause=cause, suspect_set=suspect_set,
-                          certain=certain)
+                          certain=certain, exact=bool(named))
         self.events.append({
             "event": "pool-rebuild", "cause": cause, "rebuild": self.rebuilds,
+            **attribution,
             "chunks_lost": len(lost),
             "ranks_requeued": sum(len(ranks) for ranks in plan.requeue),
             "probation": [list(ranks) for ranks in plan.probation],
@@ -299,46 +360,56 @@ class ChunkSupervisor:
 
     def _plan(self, lost: "Sequence[tuple[int, ...]]", *, cause: str,
               suspect_set: "set[tuple[int, ...]]",
-              certain: bool = False) -> RecoveryPlan:
+              certain: bool = False, exact: bool = False) -> RecoveryPlan:
         requeue: list[tuple[int, ...]] = []
         quarantine: list[tuple[int, str]] = []
         probation: list[tuple[int, ...]] = []
+        # Named chunks (and their halves) rerun ahead of the bystanders,
+        # so a poison rank's crashes follow each other closely instead of
+        # killing bystanders that had time to grow.
+        named: list[tuple[int, ...]] = []
         for ranks in lost:
             ranks = tuple(ranks)
-            if ranks in suspect_set:
+            suspect = ranks in suspect_set
+            if suspect:
                 strikes = self._strikes.pop(ranks, 0) + 1
             else:
                 strikes = self._strikes.get(ranks, 0)
-            guilty = certain and ranks in suspect_set
+            guilty = suspect and (certain or (
+                exact and strikes >= self.config.suspect_strikes))
             if guilty and len(ranks) > 1:
-                # Proven guilty in isolation: bisect, and probe each half
-                # in isolation too, halving the suspect span per crash.
+                # Guilty: bisect, halving the suspect span per crash.  A
+                # breadcrumb names the guilty half again, so its halves
+                # simply requeue (first); guilt proven in isolation
+                # probes each half in isolation too.
                 mid = len(ranks) // 2
                 self.bisections += 1
                 if _metrics.COUNTING:
                     _metrics.REGISTRY.counter("supervisor.bisections").inc()
                 for half in (ranks[:mid], ranks[mid:]):
                     self._strikes[half] = strikes
-                    probation.append(half)
+                    (named if exact else probation).append(half)
             elif guilty:
-                detail = (f"worker {cause} in isolation "
+                how = "named by its breadcrumb" if exact else "in isolation"
+                detail = (f"worker {cause} {how} "
                           f"({strikes} strike(s)) at rank {ranks[0]}")
                 quarantine.append((ranks[0], detail))
                 self.quarantined.append((ranks[0], detail))
                 if _metrics.COUNTING:
                     _metrics.REGISTRY.counter(
                         "supervisor.poison_quarantined").inc()
-            elif (ranks in suspect_set
-                    and strikes >= self.config.suspect_strikes):
+            elif suspect and strikes >= self.config.suspect_strikes:
                 # Suspicion threshold reached, but guilt unproven (other
                 # chunks shared the doomed pool): probe in isolation
                 # rather than punish a possible bystander.
                 self._strikes[ranks] = strikes
                 probation.append(ranks)
             else:
-                if ranks in suspect_set:
+                if suspect:
                     self._strikes[ranks] = strikes
-                requeue.append(ranks)
+                (named if exact and suspect else requeue).append(ranks)
+        requeue[:0] = named
+        self._named.update(named)
         self.requeued_chunks += len(requeue) + len(probation)
         self.requeued_ranks += (sum(len(ranks) for ranks in requeue)
                                 + sum(len(ranks) for ranks in probation))
@@ -356,6 +427,7 @@ class ChunkSupervisor:
         """The run's supervision summary (``pool.last_supervisor_stats``)."""
         return {
             "rebuilds": self.rebuilds,
+            "attributed_crashes": self.attributed_crashes,
             "max_pool_rebuilds": self.config.max_pool_rebuilds,
             "requeued_chunks": self.requeued_chunks,
             "requeued_ranks": self.requeued_ranks,

@@ -60,8 +60,10 @@ def rebuild_budget(*, kills: int, hangs: int, poisons: int,
     """A rebuild budget with headroom for the injection plan.
 
     Each kill/hang costs one rebuild.  Each poison rank costs its
-    strike crashes, an isolation probe, and one proven-guilty crash per
-    bisection level (``log2`` of the largest chunk it can hide in).
+    strike crashes and one crash per bisection level (``log2`` of the
+    largest chunk it can hide in) when breadcrumbs name its chunk; the
+    rest is headroom for the probation fallback's isolation probe and
+    for crashes no breadcrumb attributes.
     """
     per_poison = 2 + 1 + math.ceil(math.log2(max(2, max_chunk_size))) + 2
     return kills + hangs + poisons * per_poison + 4
@@ -80,6 +82,7 @@ def supervision_off_cost(iterations: int = 200_000) -> float:
     """
     sup = None
     chaos = None
+    breadcrumb_dir = None
     requeued: deque = deque()
     probation: deque = deque()
     probe_job = None
@@ -88,7 +91,7 @@ def supervision_off_cost(iterations: int = 200_000) -> float:
     for _ in range(iterations):
         # The per-chunk branch census of the unsupervised dispatch path:
         # top-up (probe/probation/requeued), submit, result handling,
-        # merge attempts, worker-side chaos hook.
+        # merge attempts, worker-side breadcrumb and chaos hook.
         if probe_job is not None:
             sink += 1
         if probation:
@@ -102,6 +105,8 @@ def supervision_off_cost(iterations: int = 200_000) -> float:
         if sup is not None:
             sink += 1
         if sup is not None:
+            sink += 1
+        if breadcrumb_dir is not None:
             sink += 1
         if chaos is not None:
             sink += 1

@@ -9,6 +9,7 @@ import pytest
 import repro.experiments.runner as runner
 from repro.crawler.backends import (
     CHUNKS_PER_WORKER,
+    MIN_CHUNK_SIZE,
     FaultInjectionSpec,
     SyntheticFetcherSpec,
     chunk_ranks,
@@ -193,6 +194,17 @@ class TestWarmWorkers:
         assert schedule["mode"] == "adaptive"
         assert schedule["sizes"] and sum(schedule["sizes"]) == SITES
         assert schedule["total_sites"] == SITES
+
+    def test_adaptive_tail_never_drops_below_the_minimum(self):
+        # The tail's fair share is floored at MIN_CHUNK_SIZE: only the
+        # final remainder may be smaller, so the tail does not fragment
+        # into chunks of one or two ranks.
+        pool = CrawlerPool(SyntheticWeb(300, seed=5), workers=2,
+                           backend="process")
+        pool.run()
+        sizes = pool.last_chunk_schedule["sizes"]
+        assert sum(sizes) == 300
+        assert min(sizes[:-1]) >= MIN_CHUNK_SIZE, sizes
 
     def test_replay_reproduces_partition_and_bytes(self, web, serial_dataset,
                                                    tmp_path):

@@ -3,9 +3,9 @@
 Three layers, matching the module split:
 
 * :class:`~repro.crawler.supervisor.ChunkSupervisor` is pure bookkeeping
-  (injectable clock, no processes), so strikes, probation, bisection,
-  exoneration, the watchdog deadline math and the rebuild budget are
-  unit-tested event-by-event.
+  (injectable clock, no processes), so breadcrumb attribution, strikes,
+  probation, bisection, exoneration, the watchdog deadline math and the
+  rebuild budget are unit-tested event-by-event.
 * :class:`~repro.crawler.chaos.ChaosPolicy` planning and marker state are
   tested without firing anything (firing ``os._exit`` in-process would
   kill pytest).
@@ -17,10 +17,13 @@ Three layers, matching the module split:
 
 import glob
 import sqlite3
+import tempfile
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.crawler import backends
 from repro.crawler.chaos import ChaosPolicy
 from repro.crawler.pool import CrawlerPool
 from repro.crawler.storage import CrawlStore
@@ -30,6 +33,7 @@ from repro.crawler.supervisor import (
     PoolCrashError,
     RecoveryPlan,
     SupervisorConfig,
+    attribute_crash,
 )
 from repro.crawler.telemetry import CrawlTelemetry
 from repro.synthweb.generator import SyntheticWeb
@@ -204,12 +208,133 @@ class TestChunkSupervisor:
         sup = ChunkSupervisor(SupervisorConfig())
         stats = sup.stats()
         assert set(stats) == {
-            "rebuilds", "max_pool_rebuilds", "requeued_chunks",
-            "requeued_ranks", "bisections", "exonerations",
-            "watchdog_hangs", "merge_retries", "quarantined_ranks",
-            "events"}
+            "rebuilds", "attributed_crashes", "max_pool_rebuilds",
+            "requeued_chunks", "requeued_ranks", "bisections",
+            "exonerations", "watchdog_hangs", "merge_retries",
+            "quarantined_ranks", "events"}
         assert stats["rebuilds"] == 0
+        assert stats["attributed_crashes"] == 0
         assert stats["events"] == []
+
+
+class TestBreadcrumbAttribution:
+    """Exact attribution from crash breadcrumbs: pure, no processes."""
+
+    def test_named_chunk_takes_the_strike_bystanders_none(self):
+        sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
+        lost = [(0, 1), (2, 3), (4, 5)]
+        sup.on_pool_crash(lost, cause="worker-crash", named={7: (2, 3)})
+        # The bystanders carry no strike: a second crash naming one of
+        # them is only its first strike, so it just requeues.
+        plan = sup.on_pool_crash(lost, cause="worker-crash",
+                                 named={6: (0, 1)})
+        assert plan.requeue == ((0, 1), (2, 3), (4, 5))
+        assert plan.probation == ()
+        # The first named chunk, named again, is at the threshold; its
+        # halves rerun ahead of the bystanders.
+        plan = sup.on_pool_crash(lost, cause="worker-crash",
+                                 named={7: (2, 3)})
+        assert plan.requeue == ((2,), (3,), (0, 1), (4, 5))
+        assert sup.bisections == 1
+        assert sup.attributed_crashes == 3
+
+    def test_single_named_crash_only_requeues(self):
+        sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
+        plan = sup.on_pool_crash([(0, 1, 2), (3, 4)], cause="worker-crash",
+                                 named={3: (3, 4)})
+        # The named chunk reruns first, so a repeat crash comes before
+        # the bystanders have done much work it would destroy.
+        assert plan == RecoveryPlan(requeue=((3, 4), (0, 1, 2)),
+                                    quarantine=())
+        event = sup.events[-1]
+        assert event["attribution"] == "breadcrumb"
+        assert event["named_chunks"] == [3]
+        assert event["probation"] == []
+
+    def test_named_chunk_at_threshold_bisects_into_requeue(self):
+        sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
+        sup.on_pool_crash([(4, 5, 6, 7), (8, 9)], cause="worker-crash",
+                          named={0: (4, 5, 6, 7)})
+        plan = sup.on_pool_crash([(4, 5, 6, 7), (8, 9)],
+                                 cause="worker-crash",
+                                 named={2: (4, 5, 6, 7)})
+        # Ordinary requeued halves, not probation: the next crash is
+        # attributed exactly again, so nothing needs to run alone.
+        assert plan.requeue == ((4, 5), (6, 7), (8, 9))
+        assert plan.probation == ()
+        assert plan.quarantine == ()
+        assert sup.bisections == 1
+        # The halves inherit the strikes: the guilty half, named once
+        # more, bisects again at once.
+        plan = sup.on_pool_crash([(6, 7)], cause="worker-crash",
+                                 named={5: (6, 7)})
+        assert plan.requeue == ((6,), (7,))
+        assert sup.bisections == 2
+
+    def test_named_single_rank_at_threshold_is_quarantined(self):
+        sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
+        sup.on_pool_crash([(9,), (10, 11)], cause="worker-crash",
+                          named={1: (9,)})
+        plan = sup.on_pool_crash([(9,), (10, 11)], cause="worker-crash",
+                                 named={3: (9,)})
+        assert [rank for rank, _ in plan.quarantine] == [9]
+        assert "breadcrumb" in plan.quarantine[0][1]
+        assert plan.requeue == ((10, 11),)
+        assert plan.probation == ()
+        assert sup.stats()["quarantined_ranks"] == [9]
+        assert sup.events[-1]["quarantined"] == [9]
+
+    def test_attribution_ignores_empty_and_foreign_breadcrumbs(self):
+        lost = {4: (40, 41), 5: (50,)}
+        # An exited worker with an empty breadcrumb (it died between
+        # chunks) or one naming a chunk that is not lost names nothing.
+        assert attribute_crash([None], lost) == {}
+        assert attribute_crash([3, 9], lost) == {}
+        assert attribute_crash([], lost) == {}
+        assert attribute_crash([None, 5, 3], lost) == {5: (50,)}
+        assert attribute_crash([5, 4, 5], lost) == {4: (40, 41),
+                                                    5: (50,)}
+
+    def test_nothing_named_is_exactly_the_probation_plan(self):
+        lost = [(0, 1), (2, 3)]
+        crumbs = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
+        plain = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
+        for _ in range(3):
+            named = attribute_crash([None, 8], {0: (0, 1), 1: (2, 3)})
+            assert (crumbs.on_pool_crash(lost, cause="worker-crash",
+                                         named=named)
+                    == plain.on_pool_crash(lost, cause="worker-crash"))
+        assert crumbs.stats() == plain.stats()
+        assert crumbs.attributed_crashes == 0
+        assert [event["attribution"] for event in crumbs.events] == [
+            "fallback"] * 3
+        assert crumbs.events[1]["probation"] == [[0, 1], [2, 3]]
+
+    def test_fresh_chunks_wait_while_a_named_chunk_is_in_flight(self):
+        sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
+        sup.on_pool_crash([(0, 1), (2, 3)], cause="worker-crash",
+                          named={1: (2, 3)})
+        assert sup.holds_fresh_chunks([(0, 1), (2, 3)])
+        # A bystander in flight holds nothing back.
+        assert not sup.holds_fresh_chunks([(0, 1), (4, 5)])
+        assert not sup.holds_fresh_chunks([])
+        # Nor do the halves stop being suspects once bisected.
+        sup.on_pool_crash([(2, 3)], cause="worker-crash", named={2: (2, 3)})
+        assert sup.holds_fresh_chunks([(3,)])
+        # Crashes no breadcrumb names, hangs and merge failures hold
+        # nothing: only an exact name says the rerun may crash again.
+        other = ChunkSupervisor(SupervisorConfig())
+        other.on_pool_crash([(0, 1)], cause="worker-crash")
+        other.on_pool_crash([(2, 3)], cause="hang", suspects=[(2, 3)])
+        other.on_merge_failure((4, 5), detail="disk flake")
+        assert not other.holds_fresh_chunks([(0, 1), (2, 3), (4, 5)])
+
+    def test_hang_events_are_attributed_by_the_watchdog(self):
+        sup = ChunkSupervisor(SupervisorConfig())
+        sup.on_pool_crash([(0, 1), (2, 3)], cause="hang",
+                          suspects=[(0, 1)])
+        assert sup.events[-1]["attribution"] == "watchdog"
+        assert sup.attributed_crashes == 0
 
 
 class TestChaosPolicy:
@@ -320,6 +445,48 @@ class TestSupervisedCrawls:
         assert snap.quarantined_ranks == (poison,)
         assert no_sidecars(tmp_path)
 
+    def test_breadcrumbs_attribute_every_poison_crash(self, web, baseline,
+                                                      tmp_path):
+        # Each crash is named by the dead worker's breadcrumb, so no
+        # chunk ever goes on probation and nobody needs exonerating.
+        poison = 11
+        with CrawlStore(tmp_path / "crumbs.sqlite") as store:
+            pool = CrawlerPool(web, workers=2, backend="process")
+            dataset = pool.run(store=store, collect=True,
+                               chaos=ChaosPolicy(poison_ranks=(poison,)),
+                               supervisor=fast_config())
+        assert dataset.visits == [v for v in baseline.visits
+                                  if v.rank != poison]
+        stats = pool.last_supervisor_stats
+        assert stats["quarantined_ranks"] == [poison]
+        assert stats["exonerations"] == 0
+        rebuilds = [e for e in stats["events"]
+                    if e["event"] == "pool-rebuild"]
+        assert rebuilds and all(e["attribution"] == "breadcrumb"
+                                and e["named_chunks"] for e in rebuilds)
+        assert all(not e.get("probation") for e in stats["events"])
+        assert stats["attributed_crashes"] == stats["rebuilds"]
+
+    def test_probation_fallback_without_breadcrumbs(self, web, baseline,
+                                                    tmp_path, monkeypatch):
+        # A reader that finds no breadcrumb leaves only the fallback:
+        # strikes on every lost chunk, probation, exoneration — and it
+        # still quarantines exactly the poison rank.
+        monkeypatch.setattr(backends, "_crashed_worker_breadcrumbs",
+                            lambda executor, directory: [])
+        poison = 11
+        pool = CrawlerPool(web, workers=2, backend="process")
+        dataset = pool.run(chaos=ChaosPolicy(poison_ranks=(poison,)),
+                           supervisor=fast_config())
+        assert dataset.visits == [v for v in baseline.visits
+                                  if v.rank != poison]
+        stats = pool.last_supervisor_stats
+        assert stats["quarantined_ranks"] == [poison]
+        assert stats["attributed_crashes"] == 0
+        assert {e["attribution"] for e in stats["events"]
+                if e["event"] == "pool-rebuild"} == {"fallback"}
+        assert any(e.get("probation") for e in stats["events"])
+
     def test_hang_is_caught_by_the_watchdog(self, web, baseline,
                                             tmp_path):
         # Hang-only plan: no co-flying crash can absorb the hung chunk,
@@ -336,6 +503,26 @@ class TestSupervisedCrawls:
         assert stats["rebuilds"] >= 1
         assert stats["quarantined_ranks"] == []
         assert chaos.fired()["hang"] == (3,)
+
+    def test_hang_after_a_poison_storm_is_caught_by_the_watchdog(
+            self, web, baseline, tmp_path):
+        # Fresh chunks wait while a named chunk reruns, so the hang's
+        # chunk starts only after the poison rank's crash storm: no crash
+        # recovery kills it before the watchdog's deadline does.  A fixed
+        # schedule of 4-rank chunks keeps the hang's chunk (the seventh)
+        # out of flight when the first crash comes.
+        chaos = ChaosPolicy(poison_ranks=(1,), hang_ranks=(25,),
+                            hang_seconds=600.0,
+                            state_dir=str(tmp_path / "state"))
+        pool = CrawlerPool(web, workers=2, backend="process",
+                           chunk_schedule=[4])
+        dataset = pool.run(chaos=chaos, supervisor=fast_config())
+        assert dataset.visits == [v for v in baseline.visits
+                                  if v.rank != 1]
+        stats = pool.last_supervisor_stats
+        assert stats["quarantined_ranks"] == [1]
+        assert stats["watchdog_hangs"] == 1
+        assert chaos.fired()["hang"] == (25,)
 
     def test_merge_error_is_retried(self, web, baseline, tmp_path):
         chaos = ChaosPolicy(merge_error_ranks=(8,),
@@ -398,6 +585,47 @@ class TestSupervisedCrawls:
             resumed = CrawlerPool(web, workers=2, backend="process").run(
                 store=store, resume=True)
         assert resumed.visits == baseline.visits
+
+    def test_no_breadcrumb_directory_is_left_behind(self, web, tmp_path,
+                                                    monkeypatch):
+        temp = tmp_path / "tmp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        # A clean supervised run.
+        pool = CrawlerPool(web, workers=2, backend="process")
+        pool.run(supervisor=fast_config())
+        assert list(temp.iterdir()) == []
+        # A crash that spends the whole (zero) rebuild budget.
+        with pytest.raises(PoolCrashError):
+            CrawlerPool(web, workers=2, backend="process").run(
+                chaos=ChaosPolicy(poison_ranks=(3,)),
+                supervisor=fast_config(max_pool_rebuilds=0))
+        assert list(temp.iterdir()) == []
+        # A stop request part-way through.
+        pool = CrawlerPool(web, workers=2, backend="process")
+
+        def stop_early(done: int, total: int) -> None:
+            pool.request_stop()
+
+        dataset = pool.run(progress=stop_early, supervisor=fast_config())
+        assert len(dataset.visits) < 40
+        assert list(temp.iterdir()) == []
+
+    def test_unsupervised_crash_leaves_no_late_sidecar(self, web,
+                                                       tmp_path):
+        # One worker dies at the pickup of the second 20-rank chunk while
+        # the other is still crawling the first.  The survivor ignores
+        # the executor's SIGTERM; unless it is killed, it finishes its
+        # chunk and writes a sidecar after the crash path's sweep.
+        chaos = ChaosPolicy(kill_ranks=(20,),
+                            state_dir=str(tmp_path / "state"))
+        with CrawlStore(tmp_path / "late.sqlite") as store:
+            pool = CrawlerPool(web, workers=2, backend="process",
+                               chunk_schedule=[20])
+            with pytest.raises(BrokenProcessPool):
+                pool.run(store=store, chaos=chaos)
+        time.sleep(0.5)  # longer than the survivor's 20 visits take
+        assert no_sidecars(tmp_path)
 
     def test_supervision_requires_the_process_backend(self, web):
         pool = CrawlerPool(web, workers=2, backend="serial")
