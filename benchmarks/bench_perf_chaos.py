@@ -17,9 +17,8 @@ Enforced gates (also recorded under ``gates`` in the document):
 * its export is byte-identical (SHA-256) to the crash-free baseline's
   minus exactly the quarantined poison ranks;
 * quarantined ranks == the injection plan's poison ranks — crash
-  breadcrumbs strike only the chunk a dead worker was running (and
-  probation exonerates bystanders when none is named), so nothing else
-  is lost;
+  breadcrumbs strike only the chunk a dead worker was running, and the
+  watchdog only the chunk it found hung, so nothing else is lost;
 * every once-only injection fired exactly per plan, the watchdog caught
   the hang, and the merge error was retried;
 * no ``.wchunk-*`` sidecar wreckage survives the run;

@@ -65,7 +65,7 @@ from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, \
     ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -76,7 +76,7 @@ from repro.crawler.fetcher import SyntheticFetcher
 from repro.crawler.records import SiteVisit
 from repro.crawler.resilience import FaultInjectingFetcher, RetryPolicy
 from repro.crawler.supervisor import POISON_VISIT, ChunkSupervisor, \
-    PoolCrashError, SupervisorConfig, attribute_crash
+    PoolCrashError, RecoveryPlan, SupervisorConfig, attribute_crash
 from repro.crawler.telemetry import ChunkTelemetry, CrawlTelemetry
 from repro.obs import metrics as _metrics
 from repro.obs.tracing import TRACER
@@ -412,8 +412,8 @@ def _leave_breadcrumb(directory: "str | None", chunk_index: int
     parent can tell which chunk a dead worker was running.  Process death
     does not lose a completed ``write`` (the data is in the page cache),
     so no fsync is needed.  Best-effort: returns the path, or ``None``
-    when there is no directory or the write failed (the parent then
-    falls back to probation).
+    when there is no directory or the write failed (a crash in this
+    chunk then names nothing, and its lost chunks requeue strike-free).
     """
     if directory is None:
         return None
@@ -703,107 +703,130 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
             f"crawl parameters are not picklable for the process backend: "
             f"{exc}") from exc
     web_fp, pool_fp = _fingerprints(recipe, recipe_blob)
-    trace = TRACER.enabled
-    count = _metrics.COUNTING
-    run_tag = f"{os.getpid():x}-{next(_RUN_SEQUENCE):x}"
     if store is not None:
         _sweep_chunk_sidecars(store.path)
 
+    initargs = (recipe_blob, web_fp, pool_fp)
     start_method = _mp_context(pool.mp_context).get_start_method()
-    executor = warm_executor(pool.workers, start_method,
-                             initargs=(recipe_blob, web_fp, pool_fp))
-    scheduler = _ChunkScheduler(len(targets), pool.workers,
-                                replay=pool.chunk_schedule)
+    executor = warm_executor(pool.workers, start_method, initargs=initargs)
     sup = (ChunkSupervisor(supervisor) if supervisor is not None else None)
     pool.last_supervisor_stats = None
     #: Per-run directory of worker crash breadcrumbs (supervised only).
     breadcrumbs = (tempfile.TemporaryDirectory(prefix="repro-breadcrumbs-",
                                                ignore_cleanup_errors=True)
                    if sup is not None else None)
-    total = len(targets)
-    visits: list[SiteVisit] = []
-    completed = 0
-    quarantined_count = 0
-    next_target = 0
-    chunk_index = 0
-    pending: "set[Future]" = set()
+    template = _ChunkJob(
+        recipe=recipe, web_fp=web_fp, pool_fp=pool_fp, ranks=(),
+        collect=collect, trace=TRACER.enabled, count=_metrics.COUNTING,
+        chaos=chaos,
+        breadcrumb_dir=breadcrumbs.name if breadcrumbs is not None else None)
+    dispatch = _ProcessDispatch(
+        pool=pool, targets=targets, progress=progress, store=store,
+        telemetry=telemetry, sup=sup, template=template, initargs=initargs,
+        start_method=start_method, executor=executor,
+        scheduler=_ChunkScheduler(len(targets), pool.workers,
+                                  replay=pool.chunk_schedule),
+        run_tag=f"{os.getpid():x}-{next(_RUN_SEQUENCE):x}")
+    try:
+        return dispatch.run()
+    finally:
+        if breadcrumbs is not None:
+            breadcrumbs.cleanup()
+
+
+@dataclass(eq=False)
+class _ProcessDispatch:
+    """The dispatch loop of one :func:`crawl_in_processes` run.
+
+    The fields up to ``run_tag`` are the run's set-up; the rest are the
+    loop's mutable state.  ``executor`` is replaced after every
+    supervised crash.  The executor helpers (``wait``,
+    :func:`_kill_executor_workers`, :func:`shutdown_warm_pool`) are looked
+    up as module globals at call time, so profilers can wrap them.
+    """
+
+    pool: "CrawlerPool"
+    targets: Sequence[int]
+    progress: "Callable[[int, int], None] | None"
+    store: "CrawlStore | None"
+    telemetry: "CrawlTelemetry | None"
+    sup: "ChunkSupervisor | None"
+    #: Every submitted job is this one with its ranks, index and sidecar.
+    template: _ChunkJob
+    initargs: tuple
+    start_method: str
+    executor: ProcessPoolExecutor
+    scheduler: _ChunkScheduler
+    run_tag: str
+    visits: list[SiteVisit] = field(default_factory=list)
+    completed: int = 0
+    quarantined_count: int = 0
+    next_target: int = 0
+    chunk_index: int = 0
+    pending: "set[Future]" = field(default_factory=set)
     #: Future → job, for crash attribution and requeue.  Only maintained
     #: under supervision, so the unsupervised hot path is unchanged.
-    jobs: "dict[Future, _ChunkJob]" = {}
+    jobs: "dict[Future, _ChunkJob]" = field(default_factory=dict)
     #: Rank tuples the supervisor wants resubmitted, drained before the
     #: scheduler hands out fresh chunks.
-    requeued: "deque[tuple[int, ...]]" = deque()
-    #: Rank tuples to probe in isolation (pipeline drained first, one at
-    #: a time) so a crash attributes guilt exactly — the fallback for
-    #: crashes that no breadcrumb names.
-    probation: "deque[tuple[int, ...]]" = deque()
-    #: The probation chunk currently running alone, if any.
-    probe_job: "_ChunkJob | None" = None
-    web_builds_by_pid: dict[int, int] = {}
-    stopped = False
+    requeued: "deque[tuple[int, ...]]" = field(default_factory=deque)
+    web_builds_by_pid: dict[int, int] = field(default_factory=dict)
+    stopped: bool = False
 
-    def submit_ranks(ranks: "tuple[int, ...]", *,
-                     probe: bool = False) -> None:
-        nonlocal chunk_index, probe_job
-        sidecar = (str(_chunk_sidecar_path(store.path, run_tag,
-                                           chunk_index))
-                   if store is not None else None)
-        job = _ChunkJob(recipe=recipe, web_fp=web_fp, pool_fp=pool_fp,
-                        ranks=ranks, chunk_index=chunk_index,
-                        sidecar_path=sidecar, collect=collect,
-                        trace=trace, count=count, chaos=chaos,
-                        breadcrumb_dir=(breadcrumbs.name
-                                        if breadcrumbs is not None else None))
-        chunk_index += 1
+    def submit_ranks(self, ranks: "tuple[int, ...]") -> None:
+        index = self.chunk_index
+        self.chunk_index += 1
+        sidecar = (str(_chunk_sidecar_path(self.store.path, self.run_tag,
+                                           index))
+                   if self.store is not None else None)
+        job = replace(self.template, ranks=ranks, chunk_index=index,
+                      sidecar_path=sidecar)
         try:
-            future = executor.submit(_crawl_chunk, job)
+            future = self.executor.submit(_crawl_chunk, job)
         except BrokenProcessPool:
             # The pool broke while idle; keep the ranks and let the
             # recovery path rebuild before they are resubmitted.
-            (probation if probe else requeued).appendleft(ranks)
+            self.requeued.appendleft(ranks)
             raise
-        pending.add(future)
-        if probe:
-            probe_job = job
-        if sup is not None:
-            jobs[future] = job
-            sup.note_submitted(job.chunk_index)
+        self.pending.add(future)
+        if self.sup is not None:
+            self.jobs[future] = job
+            self.sup.note_submitted(index)
 
-    def submit_next() -> bool:
-        nonlocal next_target
-        if requeued:
-            submit_ranks(requeued.popleft())
+    def submit_next(self) -> bool:
+        if self.requeued:
+            self.submit_ranks(self.requeued.popleft())
             return True
-        if sup is not None and sup.holds_fresh_chunks(
-                jobs[f].ranks for f in pending if f in jobs):
+        if self.sup is not None and self.sup.holds_fresh_chunks(
+                self.jobs[f].ranks for f in self.pending if f in self.jobs):
             return False
-        size = scheduler.next_size()
+        size = self.scheduler.next_size()
         if size <= 0:
             return False
-        ranks = tuple(targets[next_target:next_target + size])
-        next_target += size
-        submit_ranks(ranks)
+        start = self.next_target
+        self.next_target += size
+        self.submit_ranks(tuple(self.targets[start:start + size]))
         return True
 
-    def apply_plan(plan) -> None:
-        nonlocal quarantined_count
+    def apply_plan(self, plan: RecoveryPlan) -> None:
         # The latest failure's chunks go ahead of older requeues.
-        requeued.extendleft(reversed(plan.requeue))
-        probation.extend(plan.probation)
+        self.requeued.extendleft(reversed(plan.requeue))
         for rank, detail in plan.quarantine:
             logger.error("quarantining poison rank %d (%s)", rank, detail)
-            if store is not None:
-                store.quarantine_rank(rank, reason=POISON_VISIT,
-                                      detail=detail)
-            if telemetry is not None:
-                telemetry.record_quarantined(rank, detail=detail)
-            quarantined_count += 1
-        if plan.quarantine and progress is not None:
-            progress(completed + quarantined_count, total)
+            if self.store is not None:
+                self.store.quarantine_rank(rank, reason=POISON_VISIT,
+                                           detail=detail)
+            if self.telemetry is not None:
+                self.telemetry.record_quarantined(rank, detail=detail)
+            self.quarantined_count += 1
+        if plan.quarantine and self.progress is not None:
+            self.progress(self.completed + self.quarantined_count,
+                          len(self.targets))
 
-    def merge_sidecar(result: _ChunkResult) -> bool:
+    def merge_sidecar(self, result: _ChunkResult) -> bool:
         """Fold the chunk sidecar in; ``False`` = chunk lost (requeued)."""
         from repro.crawler.storage import CrawlStore
+        sup, chaos = self.sup, self.template.chaos
         sidecar = Path(result.sidecar_path)
         attempts = sup.config.merge_attempts if sup is not None else 1
         failure: "sqlite3.OperationalError | None" = None
@@ -812,7 +835,7 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
                 if chaos is not None:
                     chaos.before_merge(result.ranks)
                 with CrawlStore(sidecar) as source:
-                    store.merge_from(source)
+                    self.store.merge_from(source)
                 _delete_sidecar(sidecar)
                 return True
             except sqlite3.OperationalError as exc:
@@ -833,55 +856,53 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
         logger.error("chunk %03d merge failed after %d attempt(s); "
                      "requeueing ranks: %s", result.chunk_index, attempts,
                      failure)
-        apply_plan(sup.on_merge_failure(result.ranks, detail=str(failure)))
+        self.apply_plan(sup.on_merge_failure(result.ranks,
+                                             detail=str(failure)))
         return False
 
-    def ingest(result: _ChunkResult) -> None:
-        nonlocal completed
+    def ingest(self, result: _ChunkResult) -> None:
         index = result.chunk_index
-        scheduler.record(len(result.ranks), result.seconds)
-        builds = web_builds_by_pid.get(result.worker_pid, 0)
-        web_builds_by_pid[result.worker_pid] = max(builds, result.web_builds)
+        self.scheduler.record(len(result.ranks), result.seconds)
+        builds = self.web_builds_by_pid.get(result.worker_pid, 0)
+        self.web_builds_by_pid[result.worker_pid] = max(builds,
+                                                        result.web_builds)
         if result.spans:
             TRACER.ingest(result.spans, pid=f"chunk-{index:03d}")
         if result.metrics is not None:
             _metrics.REGISTRY.merge(result.metrics)
-        if result.sidecar_path is not None and store is not None:
-            if not merge_sidecar(result):
+        if result.sidecar_path is not None and self.store is not None:
+            if not self.merge_sidecar(result):
                 return  # requeued — nothing completed for this chunk yet
-        if telemetry is not None:
-            telemetry.record_chunk(result.telemetry,
-                                   worker=f"chunk-{index:03d}")
-        if result.visits_blob is not None and collect:
-            visits.extend(pickle.loads(result.visits_blob))
-        completed += len(result.ranks)
-        if progress is not None:
-            progress(completed + quarantined_count, total)
+        if self.telemetry is not None:
+            self.telemetry.record_chunk(result.telemetry,
+                                        worker=f"chunk-{index:03d}")
+        if result.visits_blob is not None and self.template.collect:
+            self.visits.extend(pickle.loads(result.visits_blob))
+        self.completed += len(result.ranks)
+        if self.progress is not None:
+            self.progress(self.completed + self.quarantined_count,
+                          len(self.targets))
 
-    def finish_probe(result: "_ChunkResult") -> None:
-        """A probation chunk ran alone and came back: it is innocent."""
-        nonlocal probe_job
-        if probe_job is not None and result.chunk_index == probe_job.chunk_index:
-            sup.exonerate(probe_job.ranks)
-            probe_job = None
-
-    def recover_from_crash(crashed: "list[Future]", *, cause: str,
-                           suspects: "list[tuple[int, ...]] | None" = None,
-                           ) -> None:
+    def recover_from_crash(self, crashed: "list[Future]", *, cause: str,
+                           names: "list[int] | None" = None) -> None:
         """Supervised ``BrokenProcessPool`` handling: ingest what finished,
-        sweep the wreckage, rebuild the pool, requeue the rest."""
-        nonlocal executor, probe_job
+        sweep the wreckage, rebuild the pool, requeue the rest.
+
+        ``names`` are the chunk indices the watchdog found hung; without
+        them the dead workers' breadcrumbs name the guilty chunks.
+        """
+        sup, jobs, store = self.sup, self.jobs, self.store
         # Read the dead workers' breadcrumbs first: once the survivors
-        # are killed every worker looks dead.  The watchdog has already
-        # killed them for a hang, and it names the hung chunk itself.
-        exited = ([] if cause == "hang" else _crashed_worker_breadcrumbs(
-            executor, Path(breadcrumbs.name)))
+        # are killed every worker looks dead.
+        if names is None:
+            names = _crashed_worker_breadcrumbs(
+                self.executor, Path(self.template.breadcrumb_dir))
         lost_jobs = [jobs.pop(f) for f in crashed if f in jobs]
         # Everything still outstanding is doomed (the executor is broken)
         # — but a chunk whose result landed just before the break is a
         # survivor, so harvest results one last time before requeueing.
         survivors: list[_ChunkResult] = []
-        done, rest = wait(pending, timeout=0)
+        done, rest = wait(self.pending, timeout=0)
         for future in done:
             try:
                 survivors.append(future.result())
@@ -899,28 +920,17 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
             job = jobs.pop(future, None)
             if job is not None:
                 lost_jobs.append(job)
-        pending.clear()
+        self.pending.clear()
         for result in survivors:
             sup.note_finished(result.chunk_index)
-            finish_probe(result)
-            ingest(result)
-        # A probe that went down with the pool ran *alone* by
-        # construction, so its guilt is proven — quarantine/bisect it
-        # directly instead of striking possible bystanders.
-        certain = False
-        if probe_job is not None:
-            if any(job.chunk_index == probe_job.chunk_index
-                   for job in lost_jobs):
-                certain = True
-                suspects = [probe_job.ranks]
-            probe_job = None
+            self.ingest(result)
         with TRACER.span("supervisor.rebuild", cause=cause,
                          chunks_lost=len(lost_jobs)):
             # A broken pool can still hold live workers (e.g. one sleeping
             # in a hung visit while another died); executor teardown
             # *joins* them, so make sure they are dead first or the
             # rebuild would block until the hang ended of its own accord.
-            _kill_executor_workers(executor)
+            _kill_executor_workers(self.executor)
             shutdown_warm_pool()
             if store is not None:
                 # Crashed workers leave half-written sidecars; replays
@@ -929,141 +939,128 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
                 _sweep_chunk_sidecars(store.path)
             for job in lost_jobs:
                 sup.note_finished(job.chunk_index)
-            lost = [job.ranks for job in lost_jobs]
             named = attribute_crash(
-                exited, {job.chunk_index: job.ranks for job in lost_jobs})
+                names, {job.chunk_index: job.ranks for job in lost_jobs})
             logger.error(
                 "worker pool crash (%s): lost %d in-flight chunk(s), "
-                "breadcrumbs name %s, rebuild %d/%d", cause, len(lost),
+                "named %s, rebuild %d/%d", cause, len(lost_jobs),
                 sorted(named) or "none", sup.rebuilds + 1,
                 sup.config.max_pool_rebuilds)
-            apply_plan(sup.on_pool_crash(lost, cause=cause,
-                                         suspects=suspects,
-                                         certain=certain, named=named))
-            executor = warm_executor(pool.workers, start_method,
-                                     initargs=(recipe_blob, web_fp, pool_fp))
+            self.apply_plan(sup.on_pool_crash(
+                [job.ranks for job in lost_jobs], cause=cause, named=named))
+            self.executor = warm_executor(self.pool.workers,
+                                          self.start_method,
+                                          initargs=self.initargs)
 
-    def check_watchdog() -> None:
+    def check_watchdog(self) -> None:
+        jobs = self.jobs
         sizes = {jobs[f].chunk_index: len(jobs[f].ranks)
-                 for f in pending if f in jobs}
-        late = set(sup.overdue(sizes, scheduler.observed_rate()))
+                 for f in self.pending if f in jobs}
+        late = self.sup.overdue(sizes, self.scheduler.observed_rate())
         if not late:
             return
-        suspects = [jobs[f].ranks for f in pending
-                    if f in jobs and jobs[f].chunk_index in late]
         logger.error(
             "watchdog: chunk(s) %s exceeded their deadline — killing "
-            "workers to recycle the pool", sorted(late))
-        _kill_executor_workers(executor)
-        recover_from_crash([], cause="hang", suspects=suspects)
+            "workers to recycle the pool", late)
+        _kill_executor_workers(self.executor)
+        self.recover_from_crash([], cause="hang", names=late)
 
-    def top_up(limit: int) -> None:
-        while len(pending) < limit:
-            if probe_job is not None:
-                return  # isolation in progress: nothing else flies
-            if probation:
-                if pending:
-                    return  # drain the pipeline before isolating
-                try:
-                    submit_ranks(probation.popleft(), probe=True)
-                except BrokenProcessPool:
-                    recover_from_crash([], cause="worker-crash")
-                    continue
-                return  # exactly one probe in flight
+    def top_up(self, limit: int) -> None:
+        while len(self.pending) < limit:
             try:
-                if not submit_next():
+                if not self.submit_next():
                     return
             except BrokenProcessPool:
-                if sup is None:
+                if self.sup is None:
                     raise
-                recover_from_crash([], cause="worker-crash")
+                self.recover_from_crash([], cause="worker-crash")
 
-    try:
-        top_up(pool.workers)
-        while pending or requeued or probation:
-            if not pending:
-                if stopped:
-                    break  # interrupted: requeues stay uncrawled (resume)
-                # Possible after a recovery whose requeues have not been
-                # resubmitted yet (e.g. the budget-spending crash happened
-                # during top-up).
-                top_up(pool.workers + 1)
-                if not pending:
-                    break
-            timeout = (sup.config.watchdog_poll_seconds
-                       if sup is not None and sup.config.watchdog_enabled
-                       else None)
-            done, pending = wait(pending, timeout=timeout,
-                                 return_when=FIRST_COMPLETED)
-            crashed: list[Future] = []
-            for future in done:
-                try:
-                    result = future.result()
-                except BrokenProcessPool:
-                    if sup is None:
-                        raise
-                    crashed.append(future)
-                    continue
-                if sup is not None:
-                    jobs.pop(future, None)
-                    sup.note_finished(result.chunk_index)
-                    finish_probe(result)
-                ingest(result)
-            if crashed:
-                recover_from_crash(crashed, cause="worker-crash")
-            elif sup is not None and not done and pending:
-                check_watchdog()
-            if pool.stop_requested and not stopped:
-                stopped = True
-                requeued.clear()
-                probation.clear()
-                cancelled = {f for f in pending if f.cancel()}
-                pending -= cancelled
-                for future in cancelled:
-                    jobs.pop(future, None)
-                logger.warning(
-                    "crawl stop requested: cancelled %d queued chunk(s), "
-                    "draining %d running", len(cancelled), len(pending))
-            if not stopped:
-                top_up(pool.workers + 1)
-    except BrokenProcessPool:
-        # Unsupervised: a worker died hard (OOM kill, segfault); the
-        # executor is unusable, so drop it — the next run builds a fresh
-        # warm pool — and sweep the crashed workers' sidecar files rather
-        # than leaking them until that run starts.  Kill the survivors
-        # first: they ignore the executor's SIGTERM, and one finishing
-        # its chunk would write a sidecar after the sweep.
-        _kill_executor_workers(executor)
-        shutdown_warm_pool()
-        if store is not None:
-            _sweep_chunk_sidecars(store.path)
-        raise
-    except PoolCrashError:
-        pool.last_supervisor_stats = sup.stats()
-        raise
-    finally:
-        if breadcrumbs is not None:
-            breadcrumbs.cleanup()
+    def run(self) -> list[SiteVisit]:
+        pool, sup = self.pool, self.sup
+        timeout = (sup.config.watchdog_poll_seconds
+                   if sup is not None and sup.config.watchdog_enabled
+                   else None)
+        try:
+            self.top_up(pool.workers)
+            while self.pending or self.requeued:
+                if not self.pending:
+                    if self.stopped:
+                        break  # interrupted: requeues stay uncrawled
+                    # Possible after a recovery whose requeues have not
+                    # been resubmitted yet (e.g. the budget-spending
+                    # crash happened during top-up).
+                    self.top_up(pool.workers + 1)
+                    if not self.pending:
+                        break
+                done, self.pending = wait(self.pending, timeout=timeout,
+                                          return_when=FIRST_COMPLETED)
+                crashed: list[Future] = []
+                for future in done:
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        if sup is None:
+                            raise
+                        crashed.append(future)
+                        continue
+                    if sup is not None:
+                        self.jobs.pop(future, None)
+                        sup.note_finished(result.chunk_index)
+                    self.ingest(result)
+                if crashed:
+                    self.recover_from_crash(crashed, cause="worker-crash")
+                elif sup is not None and not done and self.pending:
+                    self.check_watchdog()
+                if pool.stop_requested and not self.stopped:
+                    self.stopped = True
+                    self.requeued.clear()
+                    cancelled = {f for f in self.pending if f.cancel()}
+                    self.pending -= cancelled
+                    for future in cancelled:
+                        self.jobs.pop(future, None)
+                    logger.warning(
+                        "crawl stop requested: cancelled %d queued "
+                        "chunk(s), draining %d running", len(cancelled),
+                        len(self.pending))
+                if not self.stopped:
+                    self.top_up(pool.workers + 1)
+        except BrokenProcessPool:
+            # Unsupervised: a worker died hard (OOM kill, segfault); the
+            # executor is unusable, so drop it — the next run builds a
+            # fresh warm pool — and sweep the crashed workers' sidecar
+            # files rather than leaking them until that run starts.  Kill
+            # the survivors first: they ignore the executor's SIGTERM, and
+            # one finishing its chunk would write a sidecar after the
+            # sweep.
+            _kill_executor_workers(self.executor)
+            shutdown_warm_pool()
+            if self.store is not None:
+                _sweep_chunk_sidecars(self.store.path)
+            raise
+        except PoolCrashError:
+            pool.last_supervisor_stats = sup.stats()
+            raise
 
-    if sup is not None:
-        pool.last_supervisor_stats = sup.stats()
-        if store is not None and sup.rebuilds:
-            # A worker surviving a torn-down pool can flush its sidecar
-            # *after* the rebuild-time sweep; its chunk was requeued and
-            # merged from a fresh sidecar, so the stray file is garbage.
-            _sweep_chunk_sidecars(store.path)
-    pool.last_chunk_schedule = {
-        "mode": "replay" if pool.chunk_schedule else "adaptive",
-        "target_chunk_seconds": TARGET_CHUNK_SECONDS,
-        "initial_chunk_size": INITIAL_CHUNK_SIZE,
-        "workers": pool.workers,
-        "total_sites": total,
-        "sizes": list(scheduler.sizes),
-    }
-    pool.last_run_stats = {
-        "worker_pids": sorted(web_builds_by_pid),
-        "web_builds_total": sum(web_builds_by_pid.values()),
-        "chunks": chunk_index,
-    }
-    visits.sort(key=lambda visit: visit.rank)
-    return visits
+        if sup is not None:
+            pool.last_supervisor_stats = sup.stats()
+            if self.store is not None and sup.rebuilds:
+                # A worker surviving a torn-down pool can flush its
+                # sidecar *after* the rebuild-time sweep; its chunk was
+                # requeued and merged from a fresh sidecar, so the stray
+                # file is garbage.
+                _sweep_chunk_sidecars(self.store.path)
+        pool.last_chunk_schedule = {
+            "mode": "replay" if pool.chunk_schedule else "adaptive",
+            "target_chunk_seconds": TARGET_CHUNK_SECONDS,
+            "initial_chunk_size": INITIAL_CHUNK_SIZE,
+            "workers": pool.workers,
+            "total_sites": len(self.targets),
+            "sizes": list(self.scheduler.sizes),
+        }
+        pool.last_run_stats = {
+            "worker_pids": sorted(self.web_builds_by_pid),
+            "web_builds_total": sum(self.web_builds_by_pid.values()),
+            "chunks": self.chunk_index,
+        }
+        self.visits.sort(key=lambda visit: visit.rank)
+        return self.visits

@@ -12,46 +12,48 @@ supervisor turns those events into bounded, deterministic recovery:
   of ``(seed, rank)``, so a replayed chunk produces byte-identical rows —
   recovery cannot change the dataset.
 
-* **Breadcrumb attribution.**  A bare ``BrokenProcessPool`` cannot say
+* **Names and strikes.**  A bare ``BrokenProcessPool`` cannot say
   *which* in-flight chunk killed the worker, so each supervised worker
   writes the index of the chunk it is about to run into a per-worker
   breadcrumb file, and clears it when the chunk returns.  On a crash the
   backend reads the breadcrumbs of the workers that exited on their own
-  (:func:`attribute_crash` turns them into the named lost chunks).  Only
-  a named chunk takes a *strike*; every other lost chunk requeues
-  strike-free.  A named chunk reaching
+  (:func:`attribute_crash` turns them into the named lost chunks).  The
+  hang watchdog names the chunk it found overdue, and a failed sidecar
+  merge names its own chunk.  Only a named chunk takes a *strike*; every
+  other lost chunk requeues strike-free.  A named chunk reaching
   :attr:`SupervisorConfig.suspect_strikes` is bisected into two ordinary
-  requeued halves (which inherit its strikes), so each further crash
+  requeued halves (which inherit its strikes), so each further failure
   halves the suspect span; a named single rank at the threshold is
   *quarantined*: recorded in the store's ``quarantine`` table (the PR-5
   corrupt-row mechanism) under the ``poison-visit`` taxonomy, and the
-  rest of the run proceeds without it.  Nothing drains the pipeline or
-  runs alone.  Named chunks rerun ahead of the bystanders, and while one
-  is in flight no fresh chunk starts
+  rest of the run proceeds without it.  Named chunks rerun ahead of the
+  bystanders, and while one is in flight no fresh chunk starts
   (:meth:`ChunkSupervisor.holds_fresh_chunks`), so a poison rank's
   crashes come back to back and kill no new work.  Isolating one poison
   rank out of a chunk of *n* costs about ``suspect_strikes + log2(n)``
   rebuilds.
 
-* **Probation (fallback).**  When a crash names no lost chunk (the dead
-  worker left no breadcrumb), every lost chunk takes a strike, and a
-  chunk reaching ``suspect_strikes`` is put on **probation**: the
-  backend drains the pipeline and re-runs it alone, so a crash proves
-  guilt (a multi-rank chunk bisects into probation halves, a single rank
-  is quarantined) and a clean pass exonerates it (strikes cleared).
-  Each ``pool-rebuild`` event records how its crash was attributed.
+* **Crashes with no name.**  A crash whose dead workers left no
+  breadcrumb still spends a rebuild, but every lost chunk requeues
+  without a strike.  A poison rank whose crashes are never named
+  therefore ends the run in :class:`PoolCrashError` once the budget is
+  spent; ``resume=True`` continues from the checkpoint store.  Each
+  ``pool-rebuild`` event records its ``attribution`` (``breadcrumb``,
+  ``watchdog`` or ``none``) and its ``named_chunks``.
 
 * **Hang watchdog.**  Chunk deadlines derive from the adaptive
   scheduler's observed rate (``watchdog_factor ×`` the expected chunk
   duration, floored while no rate is known).  An over-deadline chunk has
   its workers killed — deliberately breaking the pool so the hang joins
-  the one crash-recovery path — and is the only chunk that takes a
-  strike for it; innocent in-flight chunks requeue strike-free.
+  the one crash-recovery path — and is named, so it is the only chunk
+  that takes a strike for it; innocent in-flight chunks requeue
+  strike-free.
 
 * **Merge retry.**  A ``sqlite3.OperationalError`` while folding a chunk
   sidecar into the main store is retried (the sidecar is still on disk);
-  a chunk whose merge keeps failing is recrawled through the same strike
-  machinery, without spending the rebuild budget (the pool is fine).
+  a chunk whose merge keeps failing is named and recrawled through the
+  same strike machinery, without spending the rebuild budget (the pool
+  is fine).
 
 The class here is deliberately pure bookkeeping — no executor handles, no
 filesystem, injectable clock — so the strike/bisection/budget logic is
@@ -159,30 +161,27 @@ class PoolCrashError(RuntimeError):
 class RecoveryPlan:
     """What the backend must do after a pool crash (or merge failure)."""
 
-    #: Rank tuples to resubmit, in order: chunks a breadcrumb named (or
-    #: their bisected halves, kept contiguous) ahead of the bystanders.
+    #: Rank tuples to resubmit, in order: the named chunks (or their
+    #: bisected halves, kept contiguous) ahead of the bystanders.
     requeue: tuple[tuple[int, ...], ...]
     #: ``(rank, detail)`` pairs to quarantine as ``poison-visit``.
     quarantine: tuple[tuple[int, str], ...]
-    #: Rank tuples to re-run *in isolation* (pipeline drained, one at a
-    #: time) so the next crash or clean pass attributes guilt exactly.
-    #: Only the fallback for crashes no breadcrumb attributes fills it.
-    probation: tuple[tuple[int, ...], ...] = ()
 
 
-def attribute_crash(breadcrumbs: "Iterable[int | None]",
+def attribute_crash(names: "Iterable[int | None]",
                     lost: "Mapping[int, tuple[int, ...]]",
                     ) -> dict[int, tuple[int, ...]]:
-    """The lost chunks that the crashed workers' breadcrumbs name.
+    """The lost chunks that ``names`` names.
 
-    ``breadcrumbs`` holds one entry per worker that exited on its own:
-    the chunk index its breadcrumb file named, or ``None`` when the file
-    was empty or missing (the worker died between chunks).  ``lost`` maps
-    each lost chunk's index to its ranks.  A breadcrumb naming no lost
-    chunk is ignored, so the result (chunk index → ranks, in index
-    order) is empty whenever the crash cannot be attributed exactly.
+    ``names`` holds chunk indices: one per worker that exited on its own
+    (the index its breadcrumb file named, or ``None`` when the file was
+    empty or missing — the worker died between chunks), or the chunks
+    the watchdog found hung.  ``lost`` maps each lost chunk's index to
+    its ranks.  A name of no lost chunk is ignored, so the result (chunk
+    index → ranks, in index order) is empty whenever the crash cannot be
+    attributed exactly.
     """
-    named = {index for index in breadcrumbs if index is not None}
+    named = {index for index in names if index is not None}
     return {index: tuple(lost[index]) for index in sorted(named)
             if index in lost}
 
@@ -207,7 +206,7 @@ class ChunkSupervisor:
         self.config = config
         self._clock = clock
         self._strikes: dict[tuple[int, ...], int] = {}
-        #: Chunks a breadcrumb named, and the halves they bisected into.
+        #: Chunks a failure named, and the halves they bisected into.
         self._named: set[tuple[int, ...]] = set()
         self._submitted_at: dict[int, float] = {}
         self.rebuilds = 0
@@ -215,7 +214,6 @@ class ChunkSupervisor:
         self.requeued_chunks = 0
         self.requeued_ranks = 0
         self.bisections = 0
-        self.exonerations = 0
         self.watchdog_hangs = 0
         self.merge_retries = 0
         self.quarantined: list[tuple[int, str]] = []
@@ -236,7 +234,7 @@ class ChunkSupervisor:
 
     def holds_fresh_chunks(self,
                            in_flight: "Iterable[tuple[int, ...]]") -> bool:
-        """Whether fresh chunks must wait: a chunk a breadcrumb named (or
+        """Whether fresh chunks must wait: a chunk a failure named (or
         one of its halves) is in flight.  Its rerun may crash the pool
         again, and a crash kills every chunk beside it, so only requeued
         chunks keep it company until it completes or crashes."""
@@ -275,26 +273,20 @@ class ChunkSupervisor:
 
     def on_pool_crash(self, lost: "Sequence[tuple[int, ...]]", *,
                       cause: str,
-                      suspects: "Sequence[tuple[int, ...]] | None" = None,
-                      certain: bool = False,
                       named: "Mapping[int, tuple[int, ...]] | None" = None,
                       ) -> RecoveryPlan:
         """One pool crash: spend a rebuild, plan requeues and quarantines.
 
         ``lost`` is every chunk (as its rank tuple) that was in flight.
-        ``named`` (chunk index → ranks, from :func:`attribute_crash`)
-        attributes the crash exactly: only the named chunks take a
-        strike, a named chunk at ``suspect_strikes`` bisects into
-        requeued halves or, as a single rank, is quarantined, and the
-        other lost chunks requeue strike-free.  Without a name,
-        ``suspects`` limits which lost chunks take a strike (the watchdog
-        knows exactly which chunk hung; otherwise all are suspect) and a
-        suspect at the threshold goes on probation.  With
-        ``certain=True`` the crash happened while a probation chunk ran
-        alone, which *proves* its guilt: a multi-rank chunk bisects into
-        probation halves, a single rank is quarantined on the spot.
-        Raises :class:`PoolCrashError` when the budget is spent.
+        ``named`` (chunk index → ranks) says which of them caused the
+        crash: the chunks a dead worker's breadcrumb names
+        (:func:`attribute_crash`), or the chunks the watchdog found hung
+        (``cause="hang"``).  Only the named chunks take a strike; the
+        other lost chunks requeue strike-free, and a crash that names
+        nothing strikes nobody.  Raises :class:`PoolCrashError` when the
+        budget is spent.
         """
+        named = dict(named or {})
         self.rebuilds += 1
         if cause == "hang":
             self.watchdog_hangs += 1
@@ -311,115 +303,82 @@ class ChunkSupervisor:
                 events=self.events + [{
                     "event": "budget-exhausted", "cause": cause,
                     "chunks_lost": len(lost)}])
-        if named:
+        if cause == "hang":
+            attribution = "watchdog"
+        elif named:
+            attribution = "breadcrumb"
             self.attributed_crashes += 1
-            attribution = {"attribution": "breadcrumb",
-                           "named_chunks": sorted(named)}
-            suspects = list(named.values())
         else:
-            attribution = {"attribution": ("watchdog" if cause == "hang"
-                                           else "fallback")}
-        suspect_set = (set(lost) if suspects is None
-                       else {tuple(ranks) for ranks in suspects})
-        plan = self._plan(lost, cause=cause, suspect_set=suspect_set,
-                          certain=certain, exact=bool(named))
+            attribution = "none"
+        plan = self._plan(lost, cause=cause, by=attribution,
+                          named=named.values())
         self.events.append({
             "event": "pool-rebuild", "cause": cause, "rebuild": self.rebuilds,
-            **attribution,
+            "attribution": attribution, "named_chunks": sorted(named),
             "chunks_lost": len(lost),
             "ranks_requeued": sum(len(ranks) for ranks in plan.requeue),
-            "probation": [list(ranks) for ranks in plan.probation],
             "quarantined": [rank for rank, _ in plan.quarantine]})
         return plan
 
     def on_merge_failure(self, ranks: "tuple[int, ...]", *,
                          detail: str) -> RecoveryPlan:
-        """A chunk sidecar merge failed past its retries: recrawl the
-        chunk through the strike machinery.  No rebuild is spent — the
-        worker pool is healthy."""
-        plan = self._plan([ranks], cause="merge-failure",
-                          suspect_set={tuple(ranks)})
+        """A chunk sidecar merge failed past its retries: the chunk is
+        named and recrawled through the strike machinery.  No rebuild is
+        spent — the worker pool is healthy."""
+        plan = self._plan([ranks], cause="merge-failure", by="merge",
+                          named=[ranks])
         self.events.append({
             "event": "merge-failure", "detail": detail,
             "ranks_requeued": sum(len(r) for r in plan.requeue),
-            "probation": [list(r) for r in plan.probation],
             "quarantined": [rank for rank, _ in plan.quarantine]})
         return plan
 
-    def exonerate(self, ranks: "tuple[int, ...]") -> None:
-        """A probation chunk completed cleanly in isolation: it was an
-        innocent bystander of some other chunk's crash — clear its
-        record."""
-        ranks = tuple(ranks)
-        if self._strikes.pop(ranks, None) is not None:
-            self.exonerations += 1
-            self.events.append({"event": "exonerated",
-                                "ranks": list(ranks)})
-            if _metrics.COUNTING:
-                _metrics.REGISTRY.counter("supervisor.exonerated").inc()
-
     def _plan(self, lost: "Sequence[tuple[int, ...]]", *, cause: str,
-              suspect_set: "set[tuple[int, ...]]",
-              certain: bool = False, exact: bool = False) -> RecoveryPlan:
+              by: str, named: "Iterable[tuple[int, ...]]") -> RecoveryPlan:
+        named_set = {tuple(ranks) for ranks in named}
         requeue: list[tuple[int, ...]] = []
         quarantine: list[tuple[int, str]] = []
-        probation: list[tuple[int, ...]] = []
         # Named chunks (and their halves) rerun ahead of the bystanders,
         # so a poison rank's crashes follow each other closely instead of
         # killing bystanders that had time to grow.
-        named: list[tuple[int, ...]] = []
+        first: list[tuple[int, ...]] = []
         for ranks in lost:
             ranks = tuple(ranks)
-            suspect = ranks in suspect_set
-            if suspect:
-                strikes = self._strikes.pop(ranks, 0) + 1
-            else:
-                strikes = self._strikes.get(ranks, 0)
-            guilty = suspect and (certain or (
-                exact and strikes >= self.config.suspect_strikes))
-            if guilty and len(ranks) > 1:
-                # Guilty: bisect, halving the suspect span per crash.  A
-                # breadcrumb names the guilty half again, so its halves
-                # simply requeue (first); guilt proven in isolation
-                # probes each half in isolation too.
+            if ranks not in named_set:
+                requeue.append(ranks)
+                continue
+            strikes = self._strikes.pop(ranks, 0) + 1
+            if strikes < self.config.suspect_strikes:
+                self._strikes[ranks] = strikes
+                first.append(ranks)
+            elif len(ranks) > 1:
+                # Bisect, halving the suspect span per failure; the next
+                # failure names the guilty half again.
                 mid = len(ranks) // 2
                 self.bisections += 1
                 if _metrics.COUNTING:
                     _metrics.REGISTRY.counter("supervisor.bisections").inc()
                 for half in (ranks[:mid], ranks[mid:]):
                     self._strikes[half] = strikes
-                    (named if exact else probation).append(half)
-            elif guilty:
-                how = "named by its breadcrumb" if exact else "in isolation"
-                detail = (f"worker {cause} {how} "
-                          f"({strikes} strike(s)) at rank {ranks[0]}")
+                    first.append(half)
+            else:
+                detail = (f"{cause} named by {by} ({strikes} strike(s)) "
+                          f"at rank {ranks[0]}")
                 quarantine.append((ranks[0], detail))
                 self.quarantined.append((ranks[0], detail))
                 if _metrics.COUNTING:
                     _metrics.REGISTRY.counter(
                         "supervisor.poison_quarantined").inc()
-            elif suspect and strikes >= self.config.suspect_strikes:
-                # Suspicion threshold reached, but guilt unproven (other
-                # chunks shared the doomed pool): probe in isolation
-                # rather than punish a possible bystander.
-                self._strikes[ranks] = strikes
-                probation.append(ranks)
-            else:
-                if suspect:
-                    self._strikes[ranks] = strikes
-                (named if exact and suspect else requeue).append(ranks)
-        requeue[:0] = named
-        self._named.update(named)
-        self.requeued_chunks += len(requeue) + len(probation)
-        self.requeued_ranks += (sum(len(ranks) for ranks in requeue)
-                                + sum(len(ranks) for ranks in probation))
-        if _metrics.COUNTING and (requeue or probation):
+        requeue[:0] = first
+        self._named.update(first)
+        self.requeued_chunks += len(requeue)
+        requeued_ranks = sum(len(ranks) for ranks in requeue)
+        self.requeued_ranks += requeued_ranks
+        if _metrics.COUNTING and requeue:
             _metrics.REGISTRY.counter("supervisor.requeued_ranks").inc(
-                sum(len(ranks) for ranks in requeue)
-                + sum(len(ranks) for ranks in probation))
+                requeued_ranks)
         return RecoveryPlan(requeue=tuple(requeue),
-                            quarantine=tuple(quarantine),
-                            probation=tuple(probation))
+                            quarantine=tuple(quarantine))
 
     # -- reporting ----------------------------------------------------------
 
@@ -432,7 +391,6 @@ class ChunkSupervisor:
             "requeued_chunks": self.requeued_chunks,
             "requeued_ranks": self.requeued_ranks,
             "bisections": self.bisections,
-            "exonerations": self.exonerations,
             "watchdog_hangs": self.watchdog_hangs,
             "merge_retries": self.merge_retries,
             "quarantined_ranks": sorted(

@@ -6,7 +6,7 @@ The drill runs the same crawl twice on the process backend:
    export is the ground truth;
 2. a **chaos run** under supervision, with a seeded
    :class:`~repro.crawler.chaos.ChaosPolicy` deterministically injecting
-   worker deaths (``os._exit`` mid-chunk), a hang (a chunk that sleeps
+   worker deaths (``os._exit`` at chunk pickup), a hang (a chunk that sleeps
    far past its watchdog deadline), a poison rank (kills its worker on
    *every* attempt) and a merge-time ``sqlite3.OperationalError``.
 
@@ -17,8 +17,11 @@ so surviving a crash can never change the dataset.  Recovery telemetry
 (rebuilds, watchdog hangs, merge retries, quarantines) must match the
 injection plan, and the disabled-supervision overhead estimate must stay
 under :data:`OVERHEAD_BOUND` (the supervised dispatch loop only adds
-``is None`` / empty-deque branches to the unsupervised path, measured
-the same way the observability bench prices disabled hooks).
+``is None`` branches and one empty-requeue check to the unsupervised
+path, measured the same way the observability bench prices disabled
+hooks).  Every strike comes from a name — a dead worker's breadcrumb or
+the watchdog's hung chunk — so the poison rank is bisected down and
+quarantined while bystanders requeue strike-free.
 
 ``benchmarks/bench_perf_chaos.py`` runs this at ``REPRO_CHAOS_SITES``
 scale and writes ``BENCH_chaos.json`` plus the quarantine report CI
@@ -61,9 +64,9 @@ def rebuild_budget(*, kills: int, hangs: int, poisons: int,
 
     Each kill/hang costs one rebuild.  Each poison rank costs its
     strike crashes and one crash per bisection level (``log2`` of the
-    largest chunk it can hide in) when breadcrumbs name its chunk; the
-    rest is headroom for the probation fallback's isolation probe and
-    for crashes no breadcrumb attributes.
+    largest chunk it can hide in), since a breadcrumb names its chunk
+    each time; the rest is headroom for crashes that name nothing, which
+    requeue without a strike.
     """
     per_poison = 2 + 1 + math.ceil(math.log2(max(2, max_chunk_size))) + 2
     return kills + hangs + poisons * per_poison + 4
@@ -72,7 +75,7 @@ def rebuild_budget(*, kills: int, hangs: int, poisons: int,
 def supervision_off_cost(iterations: int = 200_000) -> float:
     """Seconds per chunk the *disabled* supervisor adds to dispatch.
 
-    With ``supervisor=None`` the rewritten dispatch loop differs from the
+    With ``supervisor=None`` the dispatch loop differs from the
     pre-supervision backend only by a handful of ``is None`` and
     empty-deque branches per chunk (the jobs map, strike bookkeeping and
     watchdog timeout are all skipped).  Timing those branches directly
@@ -84,18 +87,12 @@ def supervision_off_cost(iterations: int = 200_000) -> float:
     chaos = None
     breadcrumb_dir = None
     requeued: deque = deque()
-    probation: deque = deque()
-    probe_job = None
     sink = 0
     start = time.perf_counter()
     for _ in range(iterations):
         # The per-chunk branch census of the unsupervised dispatch path:
-        # top-up (probe/probation/requeued), submit, result handling,
-        # merge attempts, worker-side breadcrumb and chaos hook.
-        if probe_job is not None:
-            sink += 1
-        if probation:
-            sink += 1
+        # top-up (requeued), submit, result handling, merge attempts,
+        # worker-side breadcrumb and chaos hook.
         if requeued:
             sink += 1
         if sup is not None:

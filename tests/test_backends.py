@@ -12,8 +12,10 @@ from repro.crawler.backends import (
     MIN_CHUNK_SIZE,
     FaultInjectionSpec,
     SyntheticFetcherSpec,
+    _mp_context,
     chunk_ranks,
     shutdown_warm_pool,
+    warm_executor,
 )
 from repro.crawler.pool import BACKENDS, CrawlDataset, CrawlerPool
 from repro.crawler.resilience import RetryPolicy
@@ -186,6 +188,22 @@ class TestWarmWorkers:
             len(second.last_run_stats["worker_pids"])
         assert set(second.last_run_stats["worker_pids"]) <= \
             set(first.last_run_stats["worker_pids"])
+
+    def test_executor_exposes_worker_processes_by_pid(self):
+        # Crash attribution and the watchdog's kill read the private
+        # ``ProcessPoolExecutor._processes`` map and find nothing without
+        # it; every crash would then name nothing.  Fail loudly instead.
+        shutdown_warm_pool()
+        try:
+            executor = warm_executor(2, _mp_context().get_start_method())
+            executor.submit(int).result()  # workers start on first submit
+            processes = executor._processes
+            assert isinstance(processes, dict) and processes
+            for pid, process in processes.items():
+                assert pid == process.pid
+                assert isinstance(process.sentinel, int)
+        finally:
+            shutdown_warm_pool()
 
     def test_adaptive_schedule_recorded_and_covers_run(self, web):
         pool = CrawlerPool(web, workers=2, backend="process")

@@ -3,9 +3,9 @@
 Three layers, matching the module split:
 
 * :class:`~repro.crawler.supervisor.ChunkSupervisor` is pure bookkeeping
-  (injectable clock, no processes), so breadcrumb attribution, strikes,
-  probation, bisection, exoneration, the watchdog deadline math and the
-  rebuild budget are unit-tested event-by-event.
+  (injectable clock, no processes), so attribution by name, strikes,
+  bisection, quarantine, the watchdog deadline math and the rebuild
+  budget are unit-tested event-by-event.
 * :class:`~repro.crawler.chaos.ChaosPolicy` planning and marker state are
   tested without firing anything (firing ``os._exit`` in-process would
   kill pytest).
@@ -95,64 +95,92 @@ class TestChunkSupervisor:
         sup = ChunkSupervisor(SupervisorConfig())
         plan = sup.on_pool_crash([(0, 1, 2), (3, 4)], cause="worker-crash")
         assert plan.requeue == ((0, 1, 2), (3, 4))
-        assert plan.probation == ()
         assert plan.quarantine == ()
         assert sup.rebuilds == 1
         assert sup.requeued_ranks == 5
 
-    def test_strike_threshold_sends_chunk_to_probation(self):
+    def test_unnamed_crashes_requeue_without_strikes(self):
         sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
-        first = sup.on_pool_crash([(7, 8)], cause="worker-crash")
-        assert first.requeue == ((7, 8),)
-        second = sup.on_pool_crash([(7, 8)], cause="worker-crash")
-        # Two strikes: suspicion reached, but guilt unproven — the chunk
-        # goes to probation (isolated re-run), never straight to
-        # quarantine.
-        assert second.requeue == ()
-        assert second.probation == ((7, 8),)
-        assert second.quarantine == ()
+        lost = [(0, 1), (2, 3)]
+        # A crash that names nothing strikes nobody, however often the
+        # same chunks go down with the pool.
+        for _ in range(3):
+            plan = sup.on_pool_crash(lost, cause="worker-crash", named={})
+            assert plan == RecoveryPlan(requeue=((0, 1), (2, 3)),
+                                        quarantine=())
+        assert sup.bisections == 0
+        assert sup.quarantined == []
+        assert sup.attributed_crashes == 0
+        assert [event["attribution"] for event in sup.events] == [
+            "none"] * 3
+        assert all(event["named_chunks"] == [] for event in sup.events)
+        assert not sup.holds_fresh_chunks(lost)
+        # No strike was left behind: a first name is a first strike.
+        plan = sup.on_pool_crash(lost, cause="worker-crash",
+                                 named={0: (0, 1)})
+        assert plan.requeue == ((0, 1), (2, 3))
+        assert sup.bisections == 0
 
     def test_bystanders_of_a_hang_requeue_strike_free(self):
         sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=1))
-        # The watchdog attributes exactly: only the hung chunk is
-        # suspect, so the co-flying chunk must not be on probation even
-        # with suspect_strikes=1.
+        # The watchdog names exactly the hung chunk, so even with
+        # suspect_strikes=1 only it is bisected; the co-flying chunk
+        # requeues untouched.
         plan = sup.on_pool_crash([(0, 1), (2, 3)], cause="hang",
-                                 suspects=[(0, 1)])
-        assert plan.probation == ((0, 1),)
-        assert plan.requeue == ((2, 3),)
+                                 named={4: (0, 1)})
+        assert plan.requeue == ((0,), (1,), (2, 3))
+        assert sup.bisections == 1
         assert sup.watchdog_hangs == 1
 
     def test_certain_crash_bisects_multirank_chunk(self):
-        sup = ChunkSupervisor(SupervisorConfig())
+        sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=1))
         plan = sup.on_pool_crash([(4, 5, 6, 7)], cause="worker-crash",
-                                 suspects=[(4, 5, 6, 7)], certain=True)
-        # Proven guilty in isolation: split, probe each half alone.
-        assert plan.probation == ((4, 5), (6, 7))
-        assert plan.requeue == ()
+                                 named={0: (4, 5, 6, 7)})
+        # Named at the threshold: split into requeued halves, which a
+        # further crash names again.
+        assert plan.requeue == ((4, 5), (6, 7))
+        assert plan.quarantine == ()
         assert sup.bisections == 1
 
     def test_certain_crash_quarantines_single_rank(self):
-        sup = ChunkSupervisor(SupervisorConfig())
+        sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=1))
         plan = sup.on_pool_crash([(9,)], cause="worker-crash",
-                                 suspects=[(9,)], certain=True)
+                                 named={0: (9,)})
         assert plan.quarantine[0][0] == 9
-        assert "isolation" in plan.quarantine[0][1]
+        assert "breadcrumb" in plan.quarantine[0][1]
         assert sup.stats()["quarantined_ranks"] == [9]
 
-    def test_exonerate_clears_strikes(self):
+    def test_watchdog_named_hang_bisects_then_quarantines(self):
         sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
-        sup.on_pool_crash([(7, 8)], cause="worker-crash")
-        sup.exonerate((7, 8))
-        assert sup.exonerations == 1
-        assert {"event": "exonerated", "ranks": [7, 8]} in sup.events
-        # The record is clean: the next crash is a first strike again.
-        plan = sup.on_pool_crash([(7, 8)], cause="worker-crash")
-        assert plan.requeue == ((7, 8),)
-        assert plan.probation == ()
-        # Exonerating an unknown chunk is a no-op, not an error.
-        sup.exonerate((30, 31))
-        assert sup.exonerations == 1
+        lost = [(0, 1), (2, 3)]
+        plan = sup.on_pool_crash(lost, cause="hang", named={1: (2, 3)})
+        assert plan.requeue == ((2, 3), (0, 1))
+        plan = sup.on_pool_crash(lost, cause="hang", named={3: (2, 3)})
+        assert plan.requeue == ((2,), (3,), (0, 1))
+        assert sup.bisections == 1
+        # The halves inherit the strikes: a hang in one quarantines it.
+        plan = sup.on_pool_crash([(3,), (0, 1)], cause="hang",
+                                 named={5: (3,)})
+        assert [rank for rank, _ in plan.quarantine] == [3]
+        assert "watchdog" in plan.quarantine[0][1]
+        assert plan.requeue == ((0, 1),)
+        assert [event["attribution"] for event in sup.events] == [
+            "watchdog"] * 3
+        assert sup.events[-1]["named_chunks"] == [5]
+        assert sup.watchdog_hangs == 3
+
+    def test_merge_failure_at_threshold_bisects_or_quarantines(self):
+        sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
+        assert sup.on_merge_failure((4, 5), detail="disk flake").requeue \
+            == ((4, 5),)
+        plan = sup.on_merge_failure((4, 5), detail="disk flake")
+        assert plan.requeue == ((4,), (5,))
+        assert sup.bisections == 1
+        plan = sup.on_merge_failure((5,), detail="disk flake")
+        assert [rank for rank, _ in plan.quarantine] == [5]
+        assert plan.requeue == ()
+        assert sup.events[-1]["quarantined"] == [5]
+        assert sup.rebuilds == 0
 
     def test_budget_exhaustion_raises_with_story(self):
         sup = ChunkSupervisor(SupervisorConfig(max_pool_rebuilds=1))
@@ -210,7 +238,7 @@ class TestChunkSupervisor:
         assert set(stats) == {
             "rebuilds", "attributed_crashes", "max_pool_rebuilds",
             "requeued_chunks", "requeued_ranks", "bisections",
-            "exonerations", "watchdog_hangs", "merge_retries",
+            "watchdog_hangs", "merge_retries",
             "quarantined_ranks", "events"}
         assert stats["rebuilds"] == 0
         assert stats["attributed_crashes"] == 0
@@ -229,7 +257,6 @@ class TestBreadcrumbAttribution:
         plan = sup.on_pool_crash(lost, cause="worker-crash",
                                  named={6: (0, 1)})
         assert plan.requeue == ((0, 1), (2, 3), (4, 5))
-        assert plan.probation == ()
         # The first named chunk, named again, is at the threshold; its
         # halves rerun ahead of the bystanders.
         plan = sup.on_pool_crash(lost, cause="worker-crash",
@@ -249,7 +276,6 @@ class TestBreadcrumbAttribution:
         event = sup.events[-1]
         assert event["attribution"] == "breadcrumb"
         assert event["named_chunks"] == [3]
-        assert event["probation"] == []
 
     def test_named_chunk_at_threshold_bisects_into_requeue(self):
         sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
@@ -258,10 +284,9 @@ class TestBreadcrumbAttribution:
         plan = sup.on_pool_crash([(4, 5, 6, 7), (8, 9)],
                                  cause="worker-crash",
                                  named={2: (4, 5, 6, 7)})
-        # Ordinary requeued halves, not probation: the next crash is
-        # attributed exactly again, so nothing needs to run alone.
+        # Ordinary requeued halves: the next crash is attributed exactly
+        # again, so nothing needs to run alone.
         assert plan.requeue == ((4, 5), (6, 7), (8, 9))
-        assert plan.probation == ()
         assert plan.quarantine == ()
         assert sup.bisections == 1
         # The halves inherit the strikes: the guilty half, named once
@@ -280,7 +305,6 @@ class TestBreadcrumbAttribution:
         assert [rank for rank, _ in plan.quarantine] == [9]
         assert "breadcrumb" in plan.quarantine[0][1]
         assert plan.requeue == ((10, 11),)
-        assert plan.probation == ()
         assert sup.stats()["quarantined_ranks"] == [9]
         assert sup.events[-1]["quarantined"] == [9]
 
@@ -295,21 +319,6 @@ class TestBreadcrumbAttribution:
         assert attribute_crash([5, 4, 5], lost) == {4: (40, 41),
                                                     5: (50,)}
 
-    def test_nothing_named_is_exactly_the_probation_plan(self):
-        lost = [(0, 1), (2, 3)]
-        crumbs = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
-        plain = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
-        for _ in range(3):
-            named = attribute_crash([None, 8], {0: (0, 1), 1: (2, 3)})
-            assert (crumbs.on_pool_crash(lost, cause="worker-crash",
-                                         named=named)
-                    == plain.on_pool_crash(lost, cause="worker-crash"))
-        assert crumbs.stats() == plain.stats()
-        assert crumbs.attributed_crashes == 0
-        assert [event["attribution"] for event in crumbs.events] == [
-            "fallback"] * 3
-        assert crumbs.events[1]["probation"] == [[0, 1], [2, 3]]
-
     def test_fresh_chunks_wait_while_a_named_chunk_is_in_flight(self):
         sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
         sup.on_pool_crash([(0, 1), (2, 3)], cause="worker-crash",
@@ -321,19 +330,28 @@ class TestBreadcrumbAttribution:
         # Nor do the halves stop being suspects once bisected.
         sup.on_pool_crash([(2, 3)], cause="worker-crash", named={2: (2, 3)})
         assert sup.holds_fresh_chunks([(3,)])
-        # Crashes no breadcrumb names, hangs and merge failures hold
-        # nothing: only an exact name says the rerun may crash again.
+        # A crash that names nothing holds nothing back.
         other = ChunkSupervisor(SupervisorConfig())
         other.on_pool_crash([(0, 1)], cause="worker-crash")
-        other.on_pool_crash([(2, 3)], cause="hang", suspects=[(2, 3)])
-        other.on_merge_failure((4, 5), detail="disk flake")
-        assert not other.holds_fresh_chunks([(0, 1), (2, 3), (4, 5)])
+        assert not other.holds_fresh_chunks([(0, 1)])
+
+    def test_hung_and_merge_failed_chunks_hold_fresh_chunks(self):
+        # The watchdog and a failed merge name their chunk just as a
+        # breadcrumb does, so its rerun keeps fresh work waiting.
+        sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
+        sup.on_pool_crash([(0, 1), (2, 3)], cause="hang",
+                          named={1: (2, 3)})
+        assert sup.holds_fresh_chunks([(2, 3)])
+        assert not sup.holds_fresh_chunks([(0, 1)])
+        sup.on_merge_failure((4, 5), detail="disk flake")
+        assert sup.holds_fresh_chunks([(0, 1), (4, 5)])
 
     def test_hang_events_are_attributed_by_the_watchdog(self):
         sup = ChunkSupervisor(SupervisorConfig())
         sup.on_pool_crash([(0, 1), (2, 3)], cause="hang",
-                          suspects=[(0, 1)])
+                          named={0: (0, 1)})
         assert sup.events[-1]["attribution"] == "watchdog"
+        assert sup.events[-1]["named_chunks"] == [0]
         assert sup.attributed_crashes == 0
 
 
@@ -345,9 +363,8 @@ class TestChaosPolicy:
         two = ChaosPolicy.plan(1000, **kwargs)
         assert one == two
         # Crash injections land in the first half of the rank space,
-        # hangs in the last quarter: the crash storm (and its
-        # pipeline-draining probation probes) resolves before any hang
-        # chunk flies, so watchdog_hangs is deterministic.
+        # hangs in the last quarter: the crash storm resolves before any
+        # hang chunk flies, so watchdog_hangs is deterministic.
         crashes = one.kill_ranks + one.poison_ranks + one.merge_error_ranks
         assert all(rank < 500 for rank in crashes)
         assert all(rank >= 750 for rank in one.hang_ranks)
@@ -432,8 +449,8 @@ class TestSupervisedCrawls:
                                telemetry=telemetry)
             rows = store.quarantine_rows()
             stored = store.stored_ranks()
-        # Exactly the poison rank is missing — probation exonerated every
-        # innocent bystander chunk that shared a doomed pool.
+        # Exactly the poison rank is missing — every innocent bystander
+        # chunk that shared a doomed pool requeued strike-free.
         expected = [v for v in baseline.visits if v.rank != poison]
         assert dataset.visits == expected
         assert stored == set(range(40)) - {poison}
@@ -447,8 +464,7 @@ class TestSupervisedCrawls:
 
     def test_breadcrumbs_attribute_every_poison_crash(self, web, baseline,
                                                       tmp_path):
-        # Each crash is named by the dead worker's breadcrumb, so no
-        # chunk ever goes on probation and nobody needs exonerating.
+        # Each crash is named by the dead worker's breadcrumb.
         poison = 11
         with CrawlStore(tmp_path / "crumbs.sqlite") as store:
             pool = CrawlerPool(web, workers=2, backend="process")
@@ -459,33 +475,43 @@ class TestSupervisedCrawls:
                                   if v.rank != poison]
         stats = pool.last_supervisor_stats
         assert stats["quarantined_ranks"] == [poison]
-        assert stats["exonerations"] == 0
         rebuilds = [e for e in stats["events"]
                     if e["event"] == "pool-rebuild"]
         assert rebuilds and all(e["attribution"] == "breadcrumb"
                                 and e["named_chunks"] for e in rebuilds)
-        assert all(not e.get("probation") for e in stats["events"])
         assert stats["attributed_crashes"] == stats["rebuilds"]
 
-    def test_probation_fallback_without_breadcrumbs(self, web, baseline,
-                                                    tmp_path, monkeypatch):
-        # A reader that finds no breadcrumb leaves only the fallback:
-        # strikes on every lost chunk, probation, exoneration — and it
-        # still quarantines exactly the poison rank.
+    def test_unnamed_crashes_never_strike(self, web, baseline, tmp_path,
+                                          monkeypatch):
+        # A reader that finds no breadcrumb names nothing: every lost
+        # chunk requeues strike-free.
         monkeypatch.setattr(backends, "_crashed_worker_breadcrumbs",
                             lambda executor, directory: [])
-        poison = 11
+        # A once-only kill still recovers byte-identically.
+        chaos = ChaosPolicy(kill_ranks=(5,),
+                            state_dir=str(tmp_path / "state"))
         pool = CrawlerPool(web, workers=2, backend="process")
-        dataset = pool.run(chaos=ChaosPolicy(poison_ranks=(poison,)),
-                           supervisor=fast_config())
-        assert dataset.visits == [v for v in baseline.visits
-                                  if v.rank != poison]
+        dataset = pool.run(chaos=chaos, supervisor=fast_config())
+        assert dataset.visits == baseline.visits
         stats = pool.last_supervisor_stats
-        assert stats["quarantined_ranks"] == [poison]
-        assert stats["attributed_crashes"] == 0
-        assert {e["attribution"] for e in stats["events"]
-                if e["event"] == "pool-rebuild"} == {"fallback"}
-        assert any(e.get("probation") for e in stats["events"])
+        rebuilds = [e for e in stats["events"]
+                    if e["event"] == "pool-rebuild"]
+        assert rebuilds and all(e["attribution"] == "none"
+                                and e["named_chunks"] == []
+                                for e in rebuilds)
+        assert stats["bisections"] == 0
+        assert stats["quarantined_ranks"] == []
+        # A poison rank nothing names is never isolated: it ends the run
+        # once the budget is spent, not earlier.
+        config = fast_config(max_pool_rebuilds=3)
+        pool = CrawlerPool(web, workers=2, backend="process")
+        with pytest.raises(PoolCrashError) as exc_info:
+            pool.run(chaos=ChaosPolicy(poison_ranks=(11,)),
+                     supervisor=config)
+        err = exc_info.value
+        assert err.rebuilds == config.max_pool_rebuilds + 1
+        assert 11 in err.lost_ranks
+        assert pool.last_supervisor_stats["bisections"] == 0
 
     def test_hang_is_caught_by_the_watchdog(self, web, baseline,
                                             tmp_path):
