@@ -29,11 +29,14 @@ Design notes:
   store is added/removed; a rank present in both but pointing at a
   different site counts as one removal plus one addition (the slot
   changed hands, nothing about the old site "changed").
-* Profiles reuse the PR 6/7 streaming protocol —
+* Profiles run the one streaming fold ``summarize_streaming`` runs
+  (:class:`repro.analysis.summary._StreamingFold`: an
   :class:`~repro.analysis.index.IncrementalIndex` feeding each
-  analysis's ``_aggregate_visit`` — the same bounded-memory path
-  ``summarize_streaming`` uses, so a 100k-site store diffs in the same
-  RSS envelope it crawls in (gated in ``benchmarks/bench_perf_drift.py``).
+  analysis's ``_aggregate_visit``), over only the headers, delegation
+  and over-permission analyses they read — no usage analysis and no
+  dataset tally.  Memory stays bounded, so a 100k-site store diffs in
+  the same RSS envelope it crawls in (gated in
+  ``benchmarks/bench_perf_drift.py``).
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from repro.analysis.delegation import DelegationAnalysis
 from repro.analysis.headers import HeaderAnalysis
-from repro.analysis.index import IncrementalIndex
 from repro.analysis.overpermission import OverPermissionAnalysis
+from repro.analysis.summary import _StreamingFold
 from repro.crawler.storage import CrawlStore
 from repro.obs import metrics as _metrics
 from repro.obs.tracing import TRACER
@@ -240,18 +243,16 @@ class StoreMetrics:
 class _StoreProfile:
     """Streaming fold of one crawl into :class:`StoreMetrics`.
 
-    One :class:`~repro.analysis.index.IncrementalIndex` feeds each
-    analysis's ``_aggregate_visit`` — the ``summarize_streaming``
-    protocol — plus the handful of site-keyed header counters the
+    Runs the summary's :class:`~repro.analysis.summary._StreamingFold`
+    over only the three analyses the metrics read (headers, delegation,
+    over-permission), plus the handful of site-keyed header counters the
     analyses do not track (FP / either / both on top frames)."""
 
     def __init__(self, registry: "PermissionRegistry | None" = None) -> None:
-        self._index = IncrementalIndex(registry=registry)
-        self._headers = HeaderAnalysis(self._index)
-        self._delegation = DelegationAnalysis(self._index)
-        self._overpermission = OverPermissionAnalysis(self._index)
+        self._fold = _StreamingFold(
+            (HeaderAnalysis, DelegationAnalysis, OverPermissionAnalysis),
+            registry)
         self.attempted = 0
-        self.successful = 0
         self._pp_sites = 0
         self._fp_sites = 0
         self._any_header_sites = 0
@@ -260,12 +261,7 @@ class _StoreProfile:
     def add(self, visit: "SiteVisit") -> SiteSignature:
         signature = site_signature(visit)
         self.attempted += 1
-        vi = self._index.add(visit)
-        if vi is not None:
-            self.successful += 1
-            self._headers._aggregate_visit(vi)
-            self._delegation._aggregate_visit(vi)
-            self._overpermission._aggregate_visit(vi)
+        if self._fold.add(visit) is not None:
             if signature.has_pp_header:
                 self._pp_sites += 1
             if signature.has_fp_header:
@@ -277,8 +273,7 @@ class _StoreProfile:
         return signature
 
     def finish(self, label: str) -> StoreMetrics:
-        headers = self._headers
-        delegation = self._delegation
+        headers, delegation, overpermission = self._fold.analyses
         adoption = headers.adoption()
         top_docs = headers.top_level_documents
         kinds = delegation.directive_distribution()
@@ -287,11 +282,11 @@ class _StoreProfile:
             ((feature, count / total_delegations)
              for feature, count in delegation._permission_delegations.items()),
             key=lambda pair: (-pair[1], pair[0])))
-        flagged = self._overpermission.unused_delegations()
+        flagged = overpermission.unused_delegations()
         return StoreMetrics(
             label=label,
             attempted_sites=self.attempted,
-            successful_sites=self.successful,
+            successful_sites=self._fold.index.website_count,
             top_level_documents=top_docs,
             pp_top_level_share=adoption.pp_top_level_share,
             fp_top_level_share=self._fp_sites / top_docs if top_docs else 0.0,
@@ -309,7 +304,7 @@ class _StoreProfile:
             allow_feature_mix=mix,
             overpermission_flagged_widgets=len(flagged),
             overpermission_affected_websites=(
-                self._overpermission.total_affected_websites()),
+                overpermission.total_affected_websites()),
         )
 
 
@@ -344,13 +339,12 @@ def profile_store(store: StoreLike, *, label: str | None = None,
     handle, owned = _coerce_store(store)
     try:
         with TRACER.span("drift.profile", store=name):
-            profile = _StoreProfile(registry)
-            for visit in handle.iter_visits():
-                profile.add(visit)
+            metrics = profile_visits(handle.iter_visits(), label=name,
+                                     registry=registry)
             if _metrics.COUNTING:
                 _metrics.REGISTRY.counter("drift.sites_profiled").inc(
-                    profile.attempted)
-            return profile.finish(name)
+                    metrics.attempted_sites)
+            return metrics
     finally:
         if owned:
             handle.close()
@@ -584,11 +578,7 @@ def timeline_from_metrics(profiles: Sequence[StoreMetrics],
     """Assemble a timeline from already-computed store profiles."""
     if len(profiles) < 2:
         raise ValueError("a drift timeline needs at least two crawls")
-    if labels is None:
-        labels = tuple(profile.label for profile in profiles)
-    if len(labels) != len(profiles):
-        raise ValueError(
-            f"{len(labels)} labels for {len(profiles)} crawls")
+    labels = _timeline_labels(labels, [profile.label for profile in profiles])
     series = []
     for name in DRIFT_METRICS:
         values = tuple(float(getattr(profile, name)) for profile in profiles)
@@ -599,8 +589,18 @@ def timeline_from_metrics(profiles: Sequence[StoreMetrics],
             absolute_deltas=tuple(b - a for a, b in steps),
             relative_deltas=tuple(
                 (b - a) / a if a else None for a, b in steps)))
-    return DriftTimeline(labels=tuple(str(label) for label in labels),
-                         metrics=tuple(profiles), series=tuple(series))
+    return DriftTimeline(labels=labels, metrics=tuple(profiles),
+                         series=tuple(series))
+
+
+def _timeline_labels(labels: "Sequence[str] | None",
+                     defaults: Sequence[str]) -> tuple[str, ...]:
+    """``labels`` (``defaults`` when ``None``), one per crawl."""
+    if labels is None:
+        labels = defaults
+    if len(labels) != len(defaults):
+        raise ValueError(f"{len(labels)} labels for {len(defaults)} crawls")
+    return tuple(str(label) for label in labels)
 
 
 def build_timeline(stores: Iterable[StoreLike], *,
@@ -612,12 +612,10 @@ def build_timeline(stores: Iterable[StoreLike], *,
     One streaming profile pass per store; memory never holds more than
     one visit plus the running aggregates."""
     store_list = list(stores)
-    if labels is None:
-        labels = tuple(_default_label(store, position)
-                       for position, store in enumerate(store_list))
-    if len(labels) != len(store_list):
-        raise ValueError(f"{len(labels)} labels for {len(store_list)} stores")
+    labels = _timeline_labels(labels, [
+        _default_label(store, position)
+        for position, store in enumerate(store_list)])
     profiles = tuple(
-        profile_store(store, label=str(label), registry=registry)
+        profile_store(store, label=label, registry=registry)
         for store, label in zip(store_list, labels))
     return timeline_from_metrics(profiles, labels)

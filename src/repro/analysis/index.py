@@ -331,8 +331,10 @@ class IncrementalIndex(DatasetIndex):
     through :meth:`add` and retains only the memo tables and running
     totals — a 100k-site store streamed through
     :meth:`~repro.crawler.storage.CrawlStore.iter_visits` never becomes
-    resident.  :func:`repro.analysis.summary.summarize_streaming` drives
-    one cooperative pass: each :meth:`add` result is handed to every
+    resident.  One fold drives it everywhere
+    (:class:`repro.analysis.summary._StreamingFold`, used by
+    :func:`~repro.analysis.summary.summarize_streaming`, its worker spans
+    and the drift profiles): each :meth:`add` result is handed to every
     analysis's ``_aggregate_visit`` before the next visit is read.
 
     Analyses built on a streaming index skip their constructor-time

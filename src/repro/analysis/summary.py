@@ -17,11 +17,12 @@ from typing import Iterable, Union
 
 from repro.analysis.delegation import DelegationAnalysis
 from repro.analysis.headers import HeaderAnalysis
-from repro.analysis.index import DatasetIndex, IncrementalIndex
+from repro.analysis.index import DatasetIndex, IncrementalIndex, VisitIndex
 from repro.analysis.overpermission import OverPermissionAnalysis
 from repro.analysis.usage import UsageAnalysis
 from repro.crawler.pool import CrawlDataset
 from repro.crawler.records import SiteVisit
+from repro.obs import ingest_job, observe_job
 from repro.obs.tracing import TRACER
 from repro.policy.allow_attr import DelegationDirectiveKind
 from repro.policy.allowlist import DirectiveClass
@@ -161,16 +162,15 @@ def summarize(dataset: CrawlDataset, *, parallel: bool = False,
             headers = build("headers", HeaderAnalysis)
             overpermission = build("overpermission", OverPermissionAnalysis)
     return _finish_summary(
-        attempted_sites=dataset.attempted,
-        successful_sites=dataset.successful_count,
-        failure_summary=dataset.failure_summary(),
-        top_level_documents=dataset.top_level_document_count,
-        embedded_documents=dataset.embedded_document_count,
-        sites_with_iframes=dataset.sites_with_iframes(),
-        local_embedded_share=dataset.local_embedded_share(),
-        average_seconds_per_site=dataset.average_duration_seconds(),
-        usage=usage, delegation=delegation, headers=headers,
-        overpermission=overpermission)
+        dict(attempted_sites=dataset.attempted,
+             successful_sites=dataset.successful_count,
+             failure_summary=dataset.failure_summary(),
+             top_level_documents=dataset.top_level_document_count,
+             embedded_documents=dataset.embedded_document_count,
+             sites_with_iframes=dataset.sites_with_iframes(),
+             local_embedded_share=dataset.local_embedded_share(),
+             average_seconds_per_site=dataset.average_duration_seconds()),
+        (usage, delegation, headers, overpermission))
 
 
 class _ExactSum:
@@ -272,19 +272,78 @@ class _DatasetTally:
         self.local_embedded += other.local_embedded
         self.duration.merge(other.duration)
 
-    @property
-    def duration_total(self) -> float:
-        return self.duration.value
+    def summary_fields(self) -> dict:
+        """The dataset-level :class:`MeasurementSummary` fields."""
+        return dict(
+            attempted_sites=self.attempted,
+            successful_sites=self.successful,
+            failure_summary=dict(self.failures),
+            top_level_documents=self.top_level_documents,
+            embedded_documents=self.embedded_documents,
+            sites_with_iframes=self.sites_with_iframes,
+            local_embedded_share=(
+                self.local_embedded / self.embedded_documents
+                if self.embedded_documents else 0.0),
+            average_seconds_per_site=(
+                self.duration.value / self.attempted
+                if self.attempted else 0.0))
 
-    @property
-    def local_embedded_share(self) -> float:
-        return (self.local_embedded / self.embedded_documents
-                if self.embedded_documents else 0.0)
 
-    @property
-    def average_duration_seconds(self) -> float:
-        return (self.duration.value / self.attempted
-                if self.attempted else 0.0)
+class _StreamingFold:
+    """The streaming fold: one incremental index feeding analyses.
+
+    :meth:`add` indexes a visit once
+    (:class:`~repro.analysis.index.IncrementalIndex`) and hands its
+    :class:`~repro.analysis.index.VisitIndex` to each analysis's
+    ``_aggregate_visit``; failed visits reach no analysis.
+    :meth:`partial` and :meth:`merge` carry the index counters and each
+    analysis's ``_partial_state`` across the process boundary.  Every
+    method is looked up when it is called, so a profiler can wrap it on
+    its class.  :func:`summarize_streaming` folds the four Section 4
+    analyses; the drift profile (:mod:`repro.analysis.drift`) folds only
+    the three it reads.
+    """
+
+    def __init__(self, analyses: tuple,
+                 registry: PermissionRegistry | None = None) -> None:
+        self.index = IncrementalIndex(registry=registry)
+        self.analyses = tuple(cls(self.index) for cls in analyses)
+
+    def add(self, visit: SiteVisit) -> "VisitIndex | None":
+        vi = self.index.add(visit)
+        if vi is not None:
+            for analysis in self.analyses:
+                analysis._aggregate_visit(vi)
+        return vi
+
+    def partial(self) -> tuple:
+        """Picklable additive state, for :meth:`merge` in another fold."""
+        return (self.index.website_count, self.index.top_level_documents,
+                tuple(analysis._partial_state()
+                      for analysis in self.analyses))
+
+    def merge(self, partial: tuple) -> None:
+        website_count, top_level_documents, states = partial
+        self.index.merge_partial(website_count, top_level_documents)
+        for analysis, state in zip(self.analyses, states):
+            analysis._merge_partial(state)
+
+
+#: The analyses a summary folds, in :func:`_finish_summary` order.
+_SUMMARY_ANALYSES = (UsageAnalysis, DelegationAnalysis, HeaderAnalysis,
+                     OverPermissionAnalysis)
+
+
+def _fold_summary(visits: "Iterable[SiteVisit]",
+                  registry: PermissionRegistry | None
+                  ) -> "tuple[_StreamingFold, _DatasetTally]":
+    """One pass of ``visits`` through the summary fold and the tally."""
+    fold = _StreamingFold(_SUMMARY_ANALYSES, registry)
+    tally = _DatasetTally()
+    for visit in visits:
+        tally.add(visit)
+        fold.add(visit)
+    return fold, tally
 
 
 def summarize_streaming(visits: "Union[Iterable[SiteVisit], object]", *,
@@ -294,11 +353,13 @@ def summarize_streaming(visits: "Union[Iterable[SiteVisit], object]", *,
                         ) -> MeasurementSummary:
     """Bounded-memory :func:`summarize` over a visit stream.
 
-    Drives one cooperative pass: each visit (e.g. from
+    Drives one pass of the streaming fold (:class:`_StreamingFold`): each
+    visit (e.g. from
     :meth:`~repro.crawler.storage.CrawlStore.iter_visits`) is indexed
-    incrementally (:class:`~repro.analysis.index.IncrementalIndex`) and
-    handed to all four analyses before the next one is read, so only one
-    visit plus the memo tables and running aggregates are ever resident.
+    once (:class:`~repro.analysis.index.IncrementalIndex`) and handed to
+    all four analyses and the dataset tally before the next one is read,
+    so only one visit plus the memo tables and running aggregates are
+    ever resident.
     The result is field-identical to ``summarize(dataset)`` over the same
     visits in the same (rank) order — every aggregate is additive and the
     float summation is exact, hence grouping-independent.
@@ -309,7 +370,7 @@ def summarize_streaming(visits: "Union[Iterable[SiteVisit], object]", *,
     store — the stored rank range is partitioned into contiguous spans and
     fanned out to the warm process pool shared with the process crawl
     backend (:func:`repro.crawler.backends.warm_executor`); each worker
-    streams its span through a worker-local index/analyses/tally, and the
+    streams its span through a worker-local fold and tally, and the
     picklable partial states merge back in rank order, producing a
     summary field-identical to the serial pass.
     """
@@ -324,43 +385,9 @@ def summarize_streaming(visits: "Union[Iterable[SiteVisit], object]", *,
                                    workers=workers, mp_context=mp_context)
     if store is not None:
         visits = store.iter_visits()
-    index = IncrementalIndex(registry=registry)
-    usage = UsageAnalysis(index)
-    delegation = DelegationAnalysis(index)
-    headers = HeaderAnalysis(index)
-    overpermission = OverPermissionAnalysis(index)
-    tally = _DatasetTally()
     with TRACER.span("analysis.summarize_streaming"):
-        for visit in visits:
-            tally.add(visit)
-            vi = index.add(visit)
-            if vi is None:
-                continue
-            usage._aggregate_visit(vi)
-            delegation._aggregate_visit(vi)
-            headers._aggregate_visit(vi)
-            overpermission._aggregate_visit(vi)
-    return _finish_streaming(tally, usage=usage, delegation=delegation,
-                             headers=headers,
-                             overpermission=overpermission)
-
-
-def _finish_streaming(tally: _DatasetTally, *, usage: UsageAnalysis,
-                      delegation: DelegationAnalysis,
-                      headers: HeaderAnalysis,
-                      overpermission: OverPermissionAnalysis
-                      ) -> MeasurementSummary:
-    return _finish_summary(
-        attempted_sites=tally.attempted,
-        successful_sites=tally.successful,
-        failure_summary=dict(tally.failures),
-        top_level_documents=tally.top_level_documents,
-        embedded_documents=tally.embedded_documents,
-        sites_with_iframes=tally.sites_with_iframes,
-        local_embedded_share=tally.local_embedded_share,
-        average_seconds_per_site=tally.average_duration_seconds,
-        usage=usage, delegation=delegation, headers=headers,
-        overpermission=overpermission)
+        fold, tally = _fold_summary(visits, registry)
+    return _finish_summary(tally.summary_fields(), fold.analyses)
 
 
 # ---------------------------------------------------------------------------
@@ -385,70 +412,29 @@ class _SummarizePartial:
     """A worker's additive state for one rank span."""
 
     span_index: int
-    website_count: int
-    top_level_documents: int
     tally: _DatasetTally
-    usage: dict
-    delegation: dict
-    headers: dict
-    overpermission: dict
+    #: :meth:`_StreamingFold.partial` of the span's fold.
+    fold: tuple
     spans: tuple = ()
     metrics: "dict | None" = None
 
 
 def _summarize_span(job: _SummarizeJob) -> _SummarizePartial:
     """Worker entry point: stream one rank span off the store and return
-    the partial states.  Observability mirrors the parent per job, like
-    the crawl chunk worker."""
+    the partial states.  Observability mirrors the parent per job
+    (:func:`repro.obs.observe_job`), like the crawl chunk worker."""
     from repro.crawler.storage import CrawlStore
-    from repro.obs import metrics as _metrics
     from pathlib import Path
 
-    if job.trace:
-        TRACER.clear()
-        TRACER.enabled = True
-    if job.count:
-        _metrics.REGISTRY.reset()
-        _metrics.enable_metrics()
-    try:
-        index = IncrementalIndex(registry=job.registry)
-        usage = UsageAnalysis(index)
-        delegation = DelegationAnalysis(index)
-        headers = HeaderAnalysis(index)
-        overpermission = OverPermissionAnalysis(index)
-        tally = _DatasetTally()
+    with observe_job(job.trace, job.count) as export:
         with CrawlStore(Path(job.store_path)) as store, \
                 TRACER.span("analysis.summarize_span", span=job.span_index,
                             min_rank=job.min_rank, max_rank=job.max_rank):
-            for visit in store.iter_visits(min_rank=job.min_rank,
-                                           max_rank=job.max_rank):
-                tally.add(visit)
-                vi = index.add(visit)
-                if vi is None:
-                    continue
-                usage._aggregate_visit(vi)
-                delegation._aggregate_visit(vi)
-                headers._aggregate_visit(vi)
-                overpermission._aggregate_visit(vi)
-        return _SummarizePartial(
-            span_index=job.span_index,
-            website_count=index.website_count,
-            top_level_documents=index.top_level_documents,
-            tally=tally,
-            usage=usage._partial_state(),
-            delegation=delegation._partial_state(),
-            headers=headers._partial_state(),
-            overpermission=overpermission._partial_state(),
-            spans=tuple(TRACER.export_spans()) if job.trace else (),
-            metrics=_metrics.REGISTRY.snapshot() if job.count else None,
-        )
-    finally:
-        if job.trace:
-            TRACER.enabled = False
-            TRACER.clear()
-        if job.count:
-            _metrics.disable_metrics()
-            _metrics.REGISTRY.reset()
+            fold, tally = _fold_summary(
+                store.iter_visits(min_rank=job.min_rank,
+                                  max_rank=job.max_rank), job.registry)
+        return _SummarizePartial(span_index=job.span_index, tally=tally,
+                                 fold=fold.partial(), **export())
 
 
 def _summarize_parallel(store, *, registry: PermissionRegistry | None,
@@ -476,56 +462,30 @@ def _summarize_parallel(store, *, registry: PermissionRegistry | None,
     start_method = resolve_context(mp_context).get_start_method()
     executor = warm_executor(workers, start_method)
 
-    index = IncrementalIndex(registry=registry)
-    usage = UsageAnalysis(index)
-    delegation = DelegationAnalysis(index)
-    headers = HeaderAnalysis(index)
-    overpermission = OverPermissionAnalysis(index)
+    fold = _StreamingFold(_SUMMARY_ANALYSES, registry)
     tally = _DatasetTally()
     with TRACER.span("analysis.summarize_parallel", spans=len(jobs),
                      workers=workers):
         futures = [executor.submit(_summarize_span, job) for job in jobs]
         for future in futures:  # span order, not completion order
             partial = future.result()
-            if partial.spans:
-                TRACER.ingest(
-                    partial.spans,
-                    pid=f"summarize-{partial.span_index:03d}")
-            if partial.metrics is not None:
-                _metrics.REGISTRY.merge(partial.metrics)
-            index.merge_partial(partial.website_count,
-                                partial.top_level_documents)
+            ingest_job(partial.spans, partial.metrics,
+                       pid=f"summarize-{partial.span_index:03d}")
             tally.merge(partial.tally)
-            usage._merge_partial(partial.usage)
-            delegation._merge_partial(partial.delegation)
-            headers._merge_partial(partial.headers)
-            overpermission._merge_partial(partial.overpermission)
-    return _finish_streaming(tally, usage=usage, delegation=delegation,
-                             headers=headers,
-                             overpermission=overpermission)
+            fold.merge(partial.fold)
+    return _finish_summary(tally.summary_fields(), fold.analyses)
 
 
-def _finish_summary(*, attempted_sites: int, successful_sites: int,
-                    failure_summary: dict[str, int],
-                    top_level_documents: int, embedded_documents: int,
-                    sites_with_iframes: int, local_embedded_share: float,
-                    average_seconds_per_site: float,
-                    usage: UsageAnalysis, delegation: DelegationAnalysis,
-                    headers: HeaderAnalysis,
-                    overpermission: OverPermissionAnalysis
+def _finish_summary(dataset_fields: dict, analyses: tuple
                     ) -> MeasurementSummary:
+    """A summary from its dataset-level fields and the four analyses
+    (in :data:`_SUMMARY_ANALYSES` order)."""
+    usage, delegation, headers, overpermission = analyses
     adoption = headers.adoption()
     class_shares = headers.top_level_class_shares()
     directive_dist = delegation.directive_distribution()
     return MeasurementSummary(
-        attempted_sites=attempted_sites,
-        successful_sites=successful_sites,
-        failure_summary=failure_summary,
-        top_level_documents=top_level_documents,
-        embedded_documents=embedded_documents,
-        sites_with_iframes=sites_with_iframes,
-        local_embedded_share=local_embedded_share,
-        average_seconds_per_site=average_seconds_per_site,
+        **dataset_fields,
         share_any_invocation=usage.share_any_invocation,
         share_invocation_top=usage.share_invocation_top,
         share_invocation_embedded=usage.share_invocation_embedded,

@@ -78,6 +78,7 @@ from repro.crawler.resilience import FaultInjectingFetcher, RetryPolicy
 from repro.crawler.supervisor import POISON_VISIT, ChunkSupervisor, \
     PoolCrashError, RecoveryPlan, SupervisorConfig, attribute_crash
 from repro.crawler.telemetry import ChunkTelemetry, CrawlTelemetry
+from repro.obs import ingest_job, observe_job
 from repro.obs import metrics as _metrics
 from repro.obs.tracing import TRACER
 from repro.policy.engine import PermissionsPolicyEngine
@@ -433,10 +434,9 @@ def _crawl_chunk(job: _ChunkJob) -> _ChunkResult:
     """Worker entry point: crawl one chunk on the warm serial pool.
 
     Under supervision the worker first leaves a breadcrumb naming the
-    chunk, and clears it when the chunk returns.  Observability state is
-    process-global and carries over between chunks in a long-lived
-    worker — so it is set up per job and torn back down in ``finally``.
-    The chunk runs against a worker-local
+    chunk, and clears it when the chunk returns.  Observability mirrors
+    the parent per job (:func:`repro.obs.observe_job`).  The chunk runs
+    against a worker-local
     :class:`~repro.crawler.telemetry.CrawlTelemetry`; its snapshot ships
     back as a :class:`~repro.crawler.telemetry.ChunkTelemetry` delta (this
     is also how guard events cross the process boundary).
@@ -445,51 +445,39 @@ def _crawl_chunk(job: _ChunkJob) -> _ChunkResult:
 
     breadcrumb = _leave_breadcrumb(job.breadcrumb_dir, job.chunk_index)
     _ignore_shutdown_signals()
-    if job.trace:
-        TRACER.clear()
-        TRACER.enabled = True
-    if job.count:
-        _metrics.REGISTRY.reset()
-        _metrics.enable_metrics()
     try:
-        pool = _worker_pool(job.recipe, job.web_fp, job.pool_fp)
-        if job.chaos is not None:
-            job.chaos.on_chunk(job.ranks)
-        local = CrawlTelemetry()
-        start = time.perf_counter()
-        with TRACER.span("crawl.chunk", chunk=job.chunk_index,
-                         ranks=len(job.ranks)):
-            visits = list(pool.run(job.ranks, telemetry=local).visits)
-        seconds = time.perf_counter() - start
-        checksums: tuple[int, ...] = ()
-        if job.sidecar_path is not None:
-            with CrawlStore(Path(job.sidecar_path)) as sidecar:
-                sidecar.save_visits(visits)
-                sidecar.flush()
-                checksums = tuple(
-                    checksum for _, checksum
-                    in sorted(sidecar.stored_checksums().items()))
-        return _ChunkResult(
-            chunk_index=job.chunk_index,
-            ranks=job.ranks,
-            checksums=checksums,
-            visits_blob=(pickle.dumps(visits, protocol=5)
-                         if job.collect else None),
-            sidecar_path=job.sidecar_path,
-            telemetry=ChunkTelemetry.from_snapshot(local.snapshot()),
-            seconds=seconds,
-            worker_pid=os.getpid(),
-            web_builds=_WORKER_WEB_BUILDS,
-            spans=tuple(TRACER.export_spans()) if job.trace else (),
-            metrics=_metrics.REGISTRY.snapshot() if job.count else None,
-        )
+        with observe_job(job.trace, job.count) as export:
+            pool = _worker_pool(job.recipe, job.web_fp, job.pool_fp)
+            if job.chaos is not None:
+                job.chaos.on_chunk(job.ranks)
+            local = CrawlTelemetry()
+            start = time.perf_counter()
+            with TRACER.span("crawl.chunk", chunk=job.chunk_index,
+                             ranks=len(job.ranks)):
+                visits = list(pool.run(job.ranks, telemetry=local).visits)
+            seconds = time.perf_counter() - start
+            checksums: tuple[int, ...] = ()
+            if job.sidecar_path is not None:
+                with CrawlStore(Path(job.sidecar_path)) as sidecar:
+                    sidecar.save_visits(visits)
+                    sidecar.flush()
+                    checksums = tuple(
+                        checksum for _, checksum
+                        in sorted(sidecar.stored_checksums().items()))
+            return _ChunkResult(
+                chunk_index=job.chunk_index,
+                ranks=job.ranks,
+                checksums=checksums,
+                visits_blob=(pickle.dumps(visits, protocol=5)
+                             if job.collect else None),
+                sidecar_path=job.sidecar_path,
+                telemetry=ChunkTelemetry.from_snapshot(local.snapshot()),
+                seconds=seconds,
+                worker_pid=os.getpid(),
+                web_builds=_WORKER_WEB_BUILDS,
+                **export(),
+            )
     finally:
-        if job.trace:
-            TRACER.enabled = False
-            TRACER.clear()
-        if job.count:
-            _metrics.disable_metrics()
-            _metrics.REGISTRY.reset()
         if breadcrumb is not None:
             with suppress(OSError):
                 os.unlink(breadcrumb)
@@ -866,10 +854,7 @@ class _ProcessDispatch:
         builds = self.web_builds_by_pid.get(result.worker_pid, 0)
         self.web_builds_by_pid[result.worker_pid] = max(builds,
                                                         result.web_builds)
-        if result.spans:
-            TRACER.ingest(result.spans, pid=f"chunk-{index:03d}")
-        if result.metrics is not None:
-            _metrics.REGISTRY.merge(result.metrics)
+        ingest_job(result.spans, result.metrics, pid=f"chunk-{index:03d}")
         if result.sidecar_path is not None and self.store is not None:
             if not self.merge_sidecar(result):
                 return  # requeued — nothing completed for this chunk yet

@@ -841,24 +841,9 @@ class CrawlStore:
         Returns visits sorted by rank.
         """
         wanted = sorted(set(ranks))
-        by_rank: dict[int, SiteVisit] = {}
-        orphans: Counter = Counter()
         corrupt: Counter = Counter()
         with self._lock:
-            conn = self._conn
-            for start in range(0, len(wanted), _SQL_IN_CHUNK):
-                chunk = wanted[start:start + _SQL_IN_CHUNK]
-                marks = ",".join("?" * len(chunk))
-                where = f" WHERE rank IN ({marks})"
-                for row in conn.execute(
-                        f"SELECT {_VISIT_COLUMNS} FROM visits{where}",
-                        chunk):
-                    try:
-                        by_rank[row[0]] = _visit_from_row(row)
-                    except Exception:
-                        corrupt["visits"] += 1
-                self._attach_children(by_rank, orphans, corrupt, where,
-                                      tuple(chunk))
+            by_rank = self._read_ranks(wanted, corrupt)
         self.last_corrupt_counts = dict(corrupt)
         if _metrics.COUNTING:
             _metrics.REGISTRY.counter("store.visits_loaded").inc(len(by_rank))
@@ -1049,6 +1034,22 @@ class CrawlStore:
         ``errors`` to its first failure (visit row first, then child
         tables in checksum order).  Caller holds the lock.
         """
+        by_rank = self._read_ranks(ranks, Counter(), errors)
+        return {rank: visit for rank, visit in by_rank.items()
+                if rank not in errors}
+
+    def _read_ranks(self, ranks: list[int], corrupt: Counter,
+                    corrupt_ranks: "dict[int, str] | None" = None
+                    ) -> dict[int, SiteVisit]:
+        """Decode the visits of ``ranks`` with their child rows, keyed by
+        rank, reading :data:`_SQL_IN_CHUNK` ranks per ``IN`` list.
+
+        Rows that fail to decode are skipped and counted per table in
+        ``corrupt``; ``corrupt_ranks`` additionally maps each failing
+        rank to its first failure, as in :meth:`_attach_children`.  Child
+        rows of a rank without a decoded visit are dropped.  Caller holds
+        the lock.
+        """
         by_rank: dict[int, SiteVisit] = {}
         for start in range(0, len(ranks), _SQL_IN_CHUNK):
             chunk = ranks[start:start + _SQL_IN_CHUNK]
@@ -1058,12 +1059,13 @@ class CrawlStore:
                 try:
                     by_rank[row[0]] = _visit_from_row(row)
                 except Exception as exc:
-                    errors[row[0]] = _safe_text(
-                        f"visits: {type(exc).__name__}: {exc}")
-            self._attach_children(by_rank, Counter(), Counter(), where,
-                                  tuple(chunk), corrupt_ranks=errors)
-        return {rank: visit for rank, visit in by_rank.items()
-                if rank not in errors}
+                    corrupt["visits"] += 1
+                    if corrupt_ranks is not None:
+                        corrupt_ranks[row[0]] = _safe_text(
+                            f"visits: {type(exc).__name__}: {exc}")
+            self._attach_children(by_rank, Counter(), corrupt, where,
+                                  tuple(chunk), corrupt_ranks=corrupt_ranks)
+        return by_rank
 
     def _quarantine_rank(self, bad: CorruptRow) -> None:
         """Move one corrupt rank out of the live tables (caller commits)."""

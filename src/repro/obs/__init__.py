@@ -50,6 +50,8 @@ __all__ = [
     "enable_metrics",
     "enable_observability",
     "disable_observability",
+    "ingest_job",
+    "observe_job",
     "observed",
     "span",
 ]
@@ -86,3 +88,45 @@ def observed(*, clear: bool = True):
         TRACER.enabled = was_tracing
         if not was_counting:
             disable_metrics()
+
+
+@contextmanager
+def observe_job(trace: bool, count: bool):
+    """Worker half of a job's observability mirror.
+
+    A worker process runs each job under its parent's ``trace`` / ``count``
+    flags.  Tracing and metrics are process-global and carry over between
+    jobs in a long-lived worker, so they are set up here per job and torn
+    back down on exit.  Yields a function returning the job's exported
+    ``{"spans": ..., "metrics": ...}`` (empty spans and ``None`` metrics
+    when the flag is off), which the parent hands to :func:`ingest_job`.
+    """
+    if trace:
+        TRACER.clear()
+        TRACER.enabled = True
+    if count:
+        REGISTRY.reset()
+        enable_metrics()
+
+    def export() -> dict:
+        return {"spans": tuple(TRACER.export_spans()) if trace else (),
+                "metrics": REGISTRY.snapshot() if count else None}
+
+    try:
+        yield export
+    finally:
+        if trace:
+            TRACER.enabled = False
+            TRACER.clear()
+        if count:
+            disable_metrics()
+            REGISTRY.reset()
+
+
+def ingest_job(spans, metrics: "dict | None", *, pid: str) -> None:
+    """Parent half of :func:`observe_job`: fold a job's exported spans
+    (relabelled ``pid``) and metrics snapshot into this process."""
+    if spans:
+        TRACER.ingest(spans, pid=pid)
+    if metrics is not None:
+        REGISTRY.merge(metrics)

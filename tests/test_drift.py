@@ -193,6 +193,40 @@ class TestStreamedEqualsMaterialized:
             era_datasets[Era.Y2024].visits, label="b")
 
 
+#: StoreMetrics field -> the MeasurementSummary field computing the same
+#: figure (the drift profile and the summary share the streaming fold).
+SHARED_FIELDS = {
+    "attempted_sites": "attempted_sites",
+    "successful_sites": "successful_sites",
+    "top_level_documents": "top_level_documents",
+    "pp_top_level_share": "pp_header_top_level_share",
+    "pp_all_docs_share": "pp_header_all_docs_share",
+    "fp_all_docs_share": "fp_header_all_docs_share",
+    "share_sites_delegating": "share_sites_delegating",
+    "share_sites_delegating_external": "share_sites_delegating_external",
+    "directive_share_default_src": "directive_share_default_src",
+    "directive_share_star": "directive_share_star",
+    "overpermission_affected_websites": "overpermission_affected_websites",
+}
+
+
+class TestCrossFold:
+    @pytest.mark.parametrize("era", [Era.Y2020, Era.Y2024])
+    def test_profile_agrees_with_summary(self, era, era_stores):
+        from repro.analysis.summary import summarize_streaming
+
+        with CrawlStore(era_stores[era]) as store:
+            summary = summarize_streaming(store)
+            metrics = profile_store(store, label=era.value)
+        # The store holds failed visits, so the attempted / successful
+        # split is part of what must agree.
+        assert summary.failure_summary
+        assert summary.successful_sites < summary.attempted_sites
+        assert {name: getattr(metrics, name) for name in SHARED_FIELDS} \
+            == {name: getattr(summary, field)
+                for name, field in SHARED_FIELDS.items()}
+
+
 class TestMetricDeltas:
     def test_relative_is_none_on_zero_baseline(self, era_stores):
         diff = diff_stores(era_stores[Era.Y2020], era_stores[Era.Y2024])
