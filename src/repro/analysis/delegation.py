@@ -225,12 +225,14 @@ class DelegationAnalysis:
 
     def delegated_permission_table(self, top_n: int = 10
                                    ) -> list[DelegatedPermissionRow]:
-        """Table 8: top delegated permissions, ranked by websites."""
+        """Table 8: top delegated permissions, ranked by websites.  Ties
+        rank by name: the counts are created in set order, which the
+        per-process string hash salt decides."""
         rows = [DelegatedPermissionRow(permission,
                                        self._permission_delegations[permission],
                                        websites)
                 for permission, websites in self._permission_websites.items()]
-        rows.sort(key=lambda row: row.websites, reverse=True)
+        rows.sort(key=lambda row: (-row.websites, row.permission))
         return rows[:top_n]
 
     def total_external_delegations(self) -> int:

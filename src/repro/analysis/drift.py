@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
+from repro._bulk_gc import bulk_gc
 from repro.analysis.delegation import DelegationAnalysis
 from repro.analysis.headers import HeaderAnalysis
 from repro.analysis.overpermission import OverPermissionAnalysis
@@ -324,10 +325,12 @@ def _default_label(store: StoreLike, position: int) -> str:
 def profile_visits(visits: "Iterable[SiteVisit]", *, label: str = "dataset",
                    registry: "PermissionRegistry | None" = None
                    ) -> StoreMetrics:
-    """Fold any visit iterable (streamed or materialized) into metrics."""
+    """Fold any visit iterable (streamed or materialized) into metrics,
+    under scoped GC thresholds (:func:`repro._bulk_gc.bulk_gc`)."""
     profile = _StoreProfile(registry)
-    for visit in visits:
-        profile.add(visit)
+    with bulk_gc():
+        for visit in visits:
+            profile.add(visit)
     return profile.finish(label)
 
 
@@ -450,7 +453,8 @@ def diff_visits(before: "Iterable[SiteVisit]", after: "Iterable[SiteVisit]",
     Both iterables must yield visits in strictly increasing rank order —
     exactly what :meth:`CrawlStore.iter_visits` produces.  Memory is
     bounded by the number of *differing* sites: unchanged sites are
-    counted and dropped."""
+    counted and dropped.  The merge-join runs under scoped GC thresholds
+    (:func:`repro._bulk_gc.bulk_gc`)."""
     profile_a = _StoreProfile(registry)
     profile_b = _StoreProfile(registry)
     added: list[SiteSignature] = []
@@ -459,35 +463,36 @@ def diff_visits(before: "Iterable[SiteVisit]", after: "Iterable[SiteVisit]",
     unchanged = 0
     iter_a = iter(before)
     iter_b = iter(after)
-    visit_a = next(iter_a, None)
-    visit_b = next(iter_b, None)
-    while visit_a is not None or visit_b is not None:
-        if visit_b is None or (visit_a is not None
-                               and visit_a.rank < visit_b.rank):
-            removed.append(profile_a.add(visit_a))
-            visit_a = next(iter_a, None)
-            continue
-        if visit_a is None or visit_b.rank < visit_a.rank:
-            added.append(profile_b.add(visit_b))
-            visit_b = next(iter_b, None)
-            continue
-        signature_a = profile_a.add(visit_a)
-        signature_b = profile_b.add(visit_b)
-        if signature_a.site != signature_b.site:
-            removed.append(signature_a)
-            added.append(signature_b)
-        elif signature_a == signature_b:
-            unchanged += 1
-        else:
-            fields = tuple(name for name in SIGNATURE_FIELDS
-                           if getattr(signature_a, name)
-                           != getattr(signature_b, name))
-            changed.append(SiteDelta(
-                rank=signature_a.rank, site=signature_a.site,
-                changed_fields=fields, before=signature_a,
-                after=signature_b))
+    with bulk_gc():
         visit_a = next(iter_a, None)
         visit_b = next(iter_b, None)
+        while visit_a is not None or visit_b is not None:
+            if visit_b is None or (visit_a is not None
+                                   and visit_a.rank < visit_b.rank):
+                removed.append(profile_a.add(visit_a))
+                visit_a = next(iter_a, None)
+                continue
+            if visit_a is None or visit_b.rank < visit_a.rank:
+                added.append(profile_b.add(visit_b))
+                visit_b = next(iter_b, None)
+                continue
+            signature_a = profile_a.add(visit_a)
+            signature_b = profile_b.add(visit_b)
+            if signature_a.site != signature_b.site:
+                removed.append(signature_a)
+                added.append(signature_b)
+            elif signature_a == signature_b:
+                unchanged += 1
+            else:
+                fields = tuple(name for name in SIGNATURE_FIELDS
+                               if getattr(signature_a, name)
+                               != getattr(signature_b, name))
+                changed.append(SiteDelta(
+                    rank=signature_a.rank, site=signature_a.site,
+                    changed_fields=fields, before=signature_a,
+                    after=signature_b))
+            visit_a = next(iter_a, None)
+            visit_b = next(iter_b, None)
     if _metrics.COUNTING:
         counters = _metrics.REGISTRY
         counters.counter("drift.sites_added").inc(len(added))

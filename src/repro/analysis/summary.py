@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
+from repro._bulk_gc import bulk_gc
 from repro.analysis.delegation import DelegationAnalysis
 from repro.analysis.headers import HeaderAnalysis
 from repro.analysis.index import DatasetIndex, IncrementalIndex, VisitIndex
@@ -131,36 +132,40 @@ def summarize(dataset: CrawlDataset, *, parallel: bool = False,
     against 0.107 s at 2500 sites on 2 CPUs).  Pass a
     prebuilt ``index`` to reuse one across calls (as
     :class:`~repro.experiments.runner.ExperimentContext` does).  Serial and
-    parallel runs produce field-identical summaries.
+    parallel runs produce field-identical summaries.  The index build and
+    the analyses run under scoped GC thresholds
+    (:func:`repro._bulk_gc.bulk_gc`).
     """
-    if index is None:
-        index = DatasetIndex(dataset)
-
     def build(name: str, analysis_cls):
         # Thread-pool futures run on worker threads, so each span becomes
         # its own root labelled by the analysis it timed.
         with TRACER.span(f"analysis.{name}"):
             return analysis_cls(index)
 
-    with TRACER.span("analysis.summarize", parallel=parallel,
-                     visits=index.website_count):
-        if parallel:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                usage_future = pool.submit(build, "usage", UsageAnalysis)
-                delegation_future = pool.submit(build, "delegation",
-                                                DelegationAnalysis)
-                headers_future = pool.submit(build, "headers", HeaderAnalysis)
-                overpermission_future = pool.submit(build, "overpermission",
-                                                    OverPermissionAnalysis)
-                usage = usage_future.result()
-                delegation = delegation_future.result()
-                headers = headers_future.result()
-                overpermission = overpermission_future.result()
-        else:
-            usage = build("usage", UsageAnalysis)
-            delegation = build("delegation", DelegationAnalysis)
-            headers = build("headers", HeaderAnalysis)
-            overpermission = build("overpermission", OverPermissionAnalysis)
+    with bulk_gc():
+        if index is None:
+            index = DatasetIndex(dataset)
+        with TRACER.span("analysis.summarize", parallel=parallel,
+                         visits=index.website_count):
+            if parallel:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    usage_future = pool.submit(build, "usage", UsageAnalysis)
+                    delegation_future = pool.submit(build, "delegation",
+                                                    DelegationAnalysis)
+                    headers_future = pool.submit(build, "headers",
+                                                 HeaderAnalysis)
+                    overpermission_future = pool.submit(
+                        build, "overpermission", OverPermissionAnalysis)
+                    usage = usage_future.result()
+                    delegation = delegation_future.result()
+                    headers = headers_future.result()
+                    overpermission = overpermission_future.result()
+            else:
+                usage = build("usage", UsageAnalysis)
+                delegation = build("delegation", DelegationAnalysis)
+                headers = build("headers", HeaderAnalysis)
+                overpermission = build("overpermission",
+                                       OverPermissionAnalysis)
     return _finish_summary(
         dict(attempted_sites=dataset.attempted,
              successful_sites=dataset.successful_count,
@@ -337,12 +342,14 @@ _SUMMARY_ANALYSES = (UsageAnalysis, DelegationAnalysis, HeaderAnalysis,
 def _fold_summary(visits: "Iterable[SiteVisit]",
                   registry: PermissionRegistry | None
                   ) -> "tuple[_StreamingFold, _DatasetTally]":
-    """One pass of ``visits`` through the summary fold and the tally."""
+    """One pass of ``visits`` through the summary fold and the tally,
+    under scoped GC thresholds (:func:`repro._bulk_gc.bulk_gc`)."""
     fold = _StreamingFold(_SUMMARY_ANALYSES, registry)
     tally = _DatasetTally()
-    for visit in visits:
-        tally.add(visit)
-        fold.add(visit)
+    with bulk_gc():
+        for visit in visits:
+            tally.add(visit)
+            fold.add(visit)
     return fold, tally
 
 
@@ -359,7 +366,8 @@ def summarize_streaming(visits: "Union[Iterable[SiteVisit], object]", *,
     once (:class:`~repro.analysis.index.IncrementalIndex`) and handed to
     all four analyses and the dataset tally before the next one is read,
     so only one visit plus the memo tables and running aggregates are
-    ever resident.
+    ever resident.  The fold runs under scoped GC thresholds
+    (:func:`repro._bulk_gc.bulk_gc`).
     The result is field-identical to ``summarize(dataset)`` over the same
     visits in the same (rank) order — every aggregate is additive and the
     float summation is exact, hence grouping-independent.

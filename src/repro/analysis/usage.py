@@ -416,11 +416,12 @@ class UsageAnalysis:
     def static_table(self, top_n: int = 10) -> list[StaticStats]:
         """Table 6: statically detected permissions ranked by websites,
         excluding the general-API pseudo-row (the paper ranks concrete
-        permissions here)."""
+        permissions here).  Ties rank by name: the stats are created in
+        set order, which the per-process string hash salt decides."""
         rows = sorted(
             (s for s in self.static_stats.values()
              if s.permission != GENERAL_ROW),
-            key=lambda s: s.websites, reverse=True)
+            key=lambda s: (-s.websites, s.permission))
         return rows[:top_n]
 
     # -- per-site views used by the over-permission detector ------------------------

@@ -43,6 +43,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro._bulk_gc import bulk_gc
 from repro.crawler.integrity import (
     CHECKSUM_MISMATCH,
     DECODE_ERROR,
@@ -596,11 +597,12 @@ class CrawlStore:
         (bit-flipped JSON, truncated values) are likewise skipped and
         counted in :attr:`last_corrupt_counts` — run
         ``repro verify-store --repair`` to quarantine them properly.
+        Runs under scoped GC thresholds (:func:`repro._bulk_gc.bulk_gc`).
         """
         dataset = CrawlDataset()
         orphans: Counter = Counter()
         corrupt: Counter = Counter()
-        with self._lock:
+        with self._lock, bulk_gc():
             conn = self._conn
             for row in conn.execute(
                     f"SELECT {_VISIT_COLUMNS} FROM visits ORDER BY rank"):
@@ -709,7 +711,9 @@ class CrawlStore:
 
         ``min_rank`` / ``max_rank`` bound the walk to an inclusive rank
         span — the process-parallel summarize streams one contiguous span
-        per worker through this.
+        per worker through this.  Each batch decodes under scoped GC
+        thresholds (:func:`repro._bulk_gc.bulk_gc`); no scope is held
+        while a visit is yielded.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -719,7 +723,8 @@ class CrawlStore:
         loaded = 0
         done = False
         while not done:
-            with self._lock:
+            # The GC scope covers one batch's decode, never a yield.
+            with self._lock, bulk_gc():
                 where, params = _rank_span(previous, min_rank, max_rank)
                 rows = self._conn.execute(
                     f"SELECT {_VISIT_COLUMNS} FROM visits{where} "
@@ -951,10 +956,11 @@ class CrawlStore:
         ``repair=True`` corrupt rows are moved into the ``quarantine``
         table — their raw values are preserved there as a JSON payload
         for forensics — so subsequent :meth:`load_dataset` calls see a
-        clean store.
+        clean store.  Runs under scoped GC thresholds
+        (:func:`repro._bulk_gc.bulk_gc`).
         """
         report = VerifyReport(path=str(self.path))
-        with self._lock:
+        with self._lock, bulk_gc():
             conn = self._conn
             row = conn.execute("SELECT COUNT(*) FROM quarantine").fetchone()
             report.previously_quarantined = int(row[0])

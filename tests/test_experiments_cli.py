@@ -1,5 +1,7 @@
 """Tests for the experiment drivers and the CLI (small crawl scale)."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import main
@@ -15,6 +17,55 @@ from repro.experiments.tables import (
 )
 
 SCALE = 2500
+
+#: SHA-256 of each ``ALL_EXPERIMENTS[name](ctx).rendered`` at ``SCALE``
+#: sites over two workers, committed so a change that moves a paper
+#: number fails loudly.  The renderings are byte-identical across hash
+#: seeds; a deliberate change to a table regenerates this map.
+RENDERED_SHA256 = {
+    "table01":
+        "487cdbec08e2196226c4e381cfe26b32abd0f5d98b038c7b5a8762aff5405cac",
+    "table02":
+        "c4050e2fe68cb44df03f8279c5d22c87c88ba956ceacf6254d2cf830637da249",
+    "crawl_overview":
+        "240228f4378408b2dda7fb259ff0a1bc8069a160ae09e62c21f215e4947d846e",
+    "table03":
+        "c1f3c20fcdb7d55687c23bf244d05913bd254d92385ea1023c37ebc28b3d96f9",
+    "table04":
+        "8bf8e712fd5739dabed31b256a72251e6a731cbc1bd94f1321eefa6f5f21bf5c",
+    "table05":
+        "bb1bfd3d49f27bee82cf4f04f11b3f5022c4932cb90b3529645676086eeb0581",
+    "table06":
+        "ddab5a9ac81384d0f6077eb7527f6d7ee046b100ce9d83372895c13ce9521a0e",
+    "table07":
+        "622a51bfeb8b3955059fa590e9ab47c305e49df963f09fc696499a56a40aa248",
+    "table08":
+        "9e9af5cc5a7b8b40d5ccb2081b8802308a4c2b7591ae77099d2b73d95c23d67e",
+    "delegation_directives":
+        "b3a85fac533a99656ed2da6166d1809e53a2e817b8764033b59a07121fb2006d",
+    "fig02":
+        "c84af7ff54e18d7e18a5e418e0f9dc7d23d54d123fec212f9302e061c8e28173",
+    "table09":
+        "84c11905cfce83348d3e85e9f3439802ed07ac3ee6fe7ef3ff1cc335c2e13f29",
+    "header_misconfig":
+        "3164badeebc4dcb5f6899539b2077add1da1db9ce59409b290fccb3c3ffc1098",
+    "table10":
+        "72042dd281b5dd0f3f5b50e5e7cab2fd2576e726fc2a47a54203c878df4ce860",
+    "livechat":
+        "54c186897019b790fb3c96e3ebac4fa23132d791004e02b41683474217f54188",
+    "table11":
+        "4269d32ea3cb6580e603914c7e2be4a1a081ea2c1827131b8ec11be2f211d73b",
+    "table12":
+        "b6686f6c27d34b495f608bc95018dfc95793798a4b3960aaed0ed1d989efecdc",
+    "fig01":
+        "287f852b382af9d98cc15a0d7f3867e286dadbd321f358ceb2c762b923105f9a",
+    "fig03":
+        "f262bf5dd59ee0ba44c4b36c025a7bd3fbb94d9b6f59619b94d66519a77f3788",
+    "fig04":
+        "96d8df121c28030368cd3886f88d5352c05baec9aab8dc43e16b18845df5e012",
+    "summary":
+        "45d97086bb2012ef156fe07e9f56b1bab89dfd2a5d60309359c9c54ef559c25c",
+}
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +117,17 @@ class TestCrawlExperiments:
 
     def test_scale_factor(self, ctx):
         assert ctx.scale_factor == pytest.approx(1_000_000 / SCALE)
+
+
+class TestRenderedDigests:
+    def test_every_experiment_has_a_golden_digest(self):
+        assert set(RENDERED_SHA256) == set(ALL_EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", sorted(RENDERED_SHA256))
+    def test_rendering_matches_golden_digest(self, ctx, name):
+        rendered = ALL_EXPERIMENTS[name](ctx).rendered
+        assert hashlib.sha256(rendered.encode()).hexdigest() == \
+            RENDERED_SHA256[name], name
 
 
 class TestCli:
