@@ -16,8 +16,8 @@ Enforced gates (also recorded under ``gates`` in the document):
 * the chaos run completes without raising, within the rebuild budget;
 * its export is byte-identical (SHA-256) to the crash-free baseline's
   minus exactly the quarantined poison ranks;
-* quarantined ranks == the injection plan's poison ranks — crash
-  breadcrumbs strike only the chunk a dead worker was running, and the
+* quarantined ranks == the injection plan's poison ranks — a crash
+  loses and strikes only the chunk its dead worker held, and the
   watchdog only the chunk it found hung, so nothing else is lost;
 * every once-only injection fired exactly per plan, the watchdog caught
   the hang, and the merge error was retried;

@@ -377,7 +377,7 @@ def summarize_streaming(visits: "Union[Iterable[SiteVisit], object]", *,
     ``iter_visits`` method).  With ``workers > 1`` — which *requires* a
     store — the stored rank range is partitioned into contiguous spans and
     fanned out to the warm process pool shared with the process crawl
-    backend (:func:`repro.crawler.backends.warm_executor`); each worker
+    backend (:func:`repro.crawler.backends.warm_pool`); each worker
     streams its span through a worker-local fold and tally, and the
     picklable partial states merge back in rank order, producing a
     summary field-identical to the serial pass.
@@ -452,7 +452,7 @@ def _summarize_parallel(store, *, registry: PermissionRegistry | None,
     the partials in span order (== rank order, so every dict/Counter
     insertion order — and the tie-breaks downstream — match serial)."""
     from repro.crawler.backends import _mp_context as resolve_context
-    from repro.crawler.backends import chunk_ranks, warm_executor
+    from repro.crawler.backends import chunk_ranks, warm_pool
     from repro.obs import metrics as _metrics
 
     ranks = sorted(store.stored_ranks())
@@ -468,15 +468,14 @@ def _summarize_parallel(store, *, registry: PermissionRegistry | None,
                           count=_metrics.COUNTING)
             for index, span in enumerate(spans)]
     start_method = resolve_context(mp_context).get_start_method()
-    executor = warm_executor(workers, start_method)
+    pool = warm_pool(workers, start_method)
 
     fold = _StreamingFold(_SUMMARY_ANALYSES, registry)
     tally = _DatasetTally()
     with TRACER.span("analysis.summarize_parallel", spans=len(jobs),
                      workers=workers):
-        futures = [executor.submit(_summarize_span, job) for job in jobs]
-        for future in futures:  # span order, not completion order
-            partial = future.result()
+        # Span order, not completion order.
+        for partial in pool.map(_summarize_span, jobs):
             ingest_job(partial.spans, partial.metrics,
                        pid=f"summarize-{partial.span_index:03d}")
             tally.merge(partial.tally)

@@ -97,9 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "RAM")
     crawl.add_argument("--max-pool-rebuilds", type=int, default=0,
                        metavar="N",
-                       help="supervise the process backend: rebuild a "
-                            "crashed/hung worker pool up to N times, "
-                            "requeue lost chunks and quarantine "
+                       help="supervise the process backend: respawn "
+                            "crashed/hung workers up to N times, "
+                            "requeue their chunks and quarantine "
                             "poison-visit ranks instead of dying "
                             "(0 = off; requires --backend process)")
     crawl.add_argument("--retries", type=int, default=0,
@@ -378,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
                                       or sup_stats["quarantined_ranks"]):
             quarantined = ", ".join(
                 str(rank) for rank in sup_stats["quarantined_ranks"])
-            print(f"supervisor: {sup_stats['rebuilds']} pool rebuild(s) "
+            print(f"supervisor: {sup_stats['rebuilds']} worker respawn(s) "
                   f"({sup_stats['watchdog_hangs']} from the hang "
                   f"watchdog), {sup_stats['requeued_ranks']} rank(s) "
                   f"requeued, quarantined poison-visit rank(s): "

@@ -13,7 +13,7 @@
 * :mod:`repro.crawler.backends` — the process backend (contiguous rank
   chunks in worker processes) and picklable fetcher specs;
 * :mod:`repro.crawler.supervisor` — self-healing supervision of the
-  process backend: pool rebuilds, poison-visit quarantine, the chunk
+  process backend: worker respawns, poison-visit quarantine, the chunk
   hang watchdog;
 * :mod:`repro.crawler.chaos` — deterministic fault injection into
   worker processes for supervision drills;

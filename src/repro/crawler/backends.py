@@ -1,4 +1,4 @@
-"""Process-based crawl backend: warm persistent workers crawling rank chunks.
+"""Process-based crawl backend: warm owned workers crawling rank chunks.
 
 The paper ran 40 genuinely parallel crawlers; our crawl is pure-Python
 CPU-bound work, so threads would gain nothing from extra workers (the GIL
@@ -6,16 +6,23 @@ serialises them).  This module delivers real parallelism: the rank list is
 cut into contiguous chunks and each chunk is crawled by a worker *process*
 running an ordinary serial :class:`~repro.crawler.pool.CrawlerPool`.
 
+The workers are owned ``multiprocessing`` processes, each with one duplex
+pipe to the parent and at most one job at a time.  The parent waits on the
+pipes and the process sentinels together
+(``multiprocessing.connection.wait``), so it always knows which chunk each
+worker holds: a dead worker's sentinel names its chunk, only that worker is
+respawned, and the survivors keep crawling (DESIGN.md §4k).
+
 Three mechanisms keep the workers fast (OpenWPM-style crawlers win by
 keeping long-lived browser workers hot, not by per-task process churn):
 
-* **Warm worker state.**  Workers are long-lived: a module-level
-  :class:`ProcessPoolExecutor` persists across runs, and each worker keeps
-  its constructed :class:`~repro.synthweb.generator.SyntheticWeb` and serial
-  pool in process globals keyed by a fingerprint of the constructor
-  parameters.  A worker rebuilds the web only when the web actually
-  changes, instead of once per chunk; the pool initializer also pre-warms
-  the interned parser caches with one throwaway visit.
+* **Warm worker state.**  Workers are long-lived: a module-level pool
+  persists across runs, and each worker keeps its constructed
+  :class:`~repro.synthweb.generator.SyntheticWeb` and serial pool in
+  process globals keyed by a fingerprint of the constructor parameters.
+  A worker rebuilds the web only when the web actually changes, instead
+  of once per chunk; the worker initializer also pre-warms the interned
+  parser caches with one throwaway visit.
 
 * **Sidecar persistence.**  With ``store=``, chunk results no longer
   ship full pickled :class:`~repro.crawler.records.SiteVisit` lists through
@@ -58,11 +65,13 @@ import os
 import pickle
 import signal
 import sqlite3
-import tempfile
 import time
+import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, \
-    ProcessPoolExecutor, wait
+# Unused here: the parent waits with ``multiprocessing.connection.wait``.
+# perfbench/spans.py still replaces ``backends.wait`` by name when it
+# traces a run, and fails if the binding is missing.
+from concurrent.futures import wait  # noqa: F401
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -76,7 +85,7 @@ from repro.crawler.fetcher import SyntheticFetcher
 from repro.crawler.records import SiteVisit
 from repro.crawler.resilience import FaultInjectingFetcher, RetryPolicy
 from repro.crawler.supervisor import POISON_VISIT, ChunkSupervisor, \
-    PoolCrashError, RecoveryPlan, SupervisorConfig, attribute_crash
+    RecoveryPlan, SupervisorConfig
 from repro.crawler.telemetry import ChunkTelemetry, CrawlTelemetry
 from repro.obs import ingest_job, observe_job
 from repro.obs import metrics as _metrics
@@ -191,8 +200,8 @@ def chunk_ranks(targets: Sequence[int], chunk_count: int) -> list[list[int]]:
 class _WorkerRecipe:
     """Constructor parameters for a worker's web and serial pool.
 
-    Shipped once through the executor initializer and once per chunk job
-    (the per-job copy covers executor reuse across runs whose parameters
+    Shipped once through the worker initializer and once per chunk job
+    (the per-job copy covers pool reuse across runs whose parameters
     changed — the worker rebuilds lazily on fingerprint mismatch).
     """
 
@@ -284,11 +293,10 @@ def _prewarm(pool: "CrawlerPool") -> None:
 
 
 def _init_worker(recipe_blob: bytes, web_fp: str, pool_fp: str) -> None:
-    """Executor initializer: install signal shields and warm state.
+    """Worker initializer: install signal shields and warm state.
 
-    Failures are swallowed — an initializer exception would wedge the
-    whole executor, whereas a cold worker merely rebuilds on first chunk
-    (and surfaces the real error there).
+    Failures are swallowed — a cold worker merely rebuilds on its first
+    chunk (and surfaces the real error there).
     """
     _ignore_shutdown_signals()
     try:
@@ -298,48 +306,213 @@ def _init_worker(recipe_blob: bytes, web_fp: str, pool_fp: str) -> None:
         logger.exception("worker warm initialization failed")
 
 
+class _RemoteTraceback(Exception):
+    """A worker-side traceback, chained as the cause of the exception
+    the parent re-raises."""
+
+
+def _worker_main(conn: "multiprocessing.connection.Connection",
+                 initargs: "tuple | None", inherited: list) -> None:
+    """Owned worker process: initialise once, then run jobs until stopped.
+
+    A job is ``(function, argument)``; the reply is ``(True, result)`` or
+    ``(False, (exception, traceback text))``.  ``None`` or a closed pipe
+    ends the loop.  ``inherited`` holds the parent's ends of the pipes a
+    ``fork`` copied into this process; closing them lets a worker see EOF
+    when its parent dies.
+    """
+    for end in inherited:
+        end.close()
+    if initargs is None:
+        _ignore_shutdown_signals()
+    else:
+        _init_worker(*initargs)
+    while True:
+        try:
+            job = conn.recv()
+        except (EOFError, OSError):
+            return
+        if job is None:
+            return
+        function, argument = job
+        try:
+            reply = (True, function(argument))
+        except Exception as exc:
+            reply = (False, (exc, traceback.format_exc()))
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+
+
+@dataclass(eq=False)
+class _Worker:
+    """One owned worker process, the parent's end of its pipe, and the
+    job it holds (``None`` while idle; never more than one)."""
+
+    process: multiprocessing.process.BaseProcess
+    conn: "multiprocessing.connection.Connection"
+    job: object = None
+
+
+class _WorkerPool:
+    """N owned worker processes, each with one duplex pipe.
+
+    The crawl dispatcher and the process-parallel summarize hand jobs to
+    idle workers (:meth:`submit`) and block in :meth:`wait` on the busy
+    workers' pipes and every worker's sentinel.  A dead worker is
+    replaced alone (:meth:`respawn`); the others never notice.
+    """
+
+    def __init__(self, key: "tuple[int, str]", initargs: "tuple | None"):
+        self.key = key
+        self.context = multiprocessing.get_context(key[1])
+        self.workers: list[_Worker] = []
+        for _ in range(key[0]):
+            self.workers.append(self._start(initargs))
+
+    def _start(self, initargs: "tuple | None") -> _Worker:
+        parent_end, child_end = self.context.Pipe()
+        inherited = ([worker.conn for worker in self.workers] + [parent_end]
+                     if self.context.get_start_method() == "fork" else [])
+        process = self.context.Process(
+            target=_worker_main, args=(child_end, initargs, inherited),
+            name="repro-worker")
+        process.start()
+        child_end.close()
+        return _Worker(process, parent_end)
+
+    def respawn(self, worker: _Worker, initargs: "tuple | None") -> None:
+        """Reap a dead (or SIGKILLed) worker and start a fresh one in its
+        slot with the same initializer."""
+        worker.process.join()
+        worker.conn.close()
+        self.workers[self.workers.index(worker)] = self._start(initargs)
+
+    def submit(self, worker: _Worker, function: Callable,
+               job: object) -> None:
+        """Hand ``job`` to an idle worker; ``OSError`` if it is dead."""
+        worker.conn.send((function, job))
+        worker.job = job
+
+    def wait(self, timeout: "float | None" = None
+             ) -> "tuple[list[tuple[object, object]], list[_Worker]]":
+        """Block until a busy worker replies or any worker dies.
+
+        Returns ``(replies, dead)``: ``(job, result)`` per reply (its
+        worker is idle again) and the workers that died, with the job a
+        dead worker still held left on it.  A reply already in a dead
+        worker's pipe is still received.  A job that raised in its worker
+        raises here.
+        """
+        ready = multiprocessing.connection.wait(
+            [worker.conn for worker in self.workers if worker.job is not None]
+            + [worker.process.sentinel for worker in self.workers], timeout)
+        replies: list[tuple[object, object]] = []
+        dead: list[_Worker] = []
+        for worker in self.workers:
+            died = worker.process.sentinel in ready
+            if worker.job is not None and (died or worker.conn in ready):
+                try:
+                    ok, result = worker.conn.recv()
+                except (EOFError, OSError):
+                    died = True
+                else:
+                    job, worker.job = worker.job, None
+                    if not ok:
+                        exc, text = result
+                        raise exc from _RemoteTraceback(text)
+                    replies.append((job, result))
+            if died:
+                dead.append(worker)
+        return replies, dead
+
+    def map(self, function: Callable, jobs: Sequence) -> list:
+        """``function`` over ``jobs`` on the workers, results in job
+        order.  A dead worker raises ``BrokenProcessPool``; any failure
+        shuts the warm pool down first."""
+        results: list = [None] * len(jobs)
+        order = {id(job): index for index, job in enumerate(jobs)}
+        queue, done = deque(jobs), 0
+        try:
+            while done < len(jobs):
+                for worker in self.workers:
+                    if queue and worker.job is None:
+                        self.submit(worker, function, queue.popleft())
+                replies, dead = self.wait()
+                if dead:
+                    raise BrokenProcessPool(
+                        f"{len(dead)} worker process(es) died")
+                for job, result in replies:
+                    results[order[id(job)]] = result
+                    done += 1
+        except BaseException:
+            shutdown_warm_pool()
+            raise
+        return results
+
+
 # ---------------------------------------------------------------------------
-# The persistent executor.  One per process, reused across runs (and by the
+# The warm pool.  One per process, reused across runs (and by the
 # process-parallel summarize) so worker state stays warm; recreated only
 # when the worker count or start method changes.
 
-_WARM_EXECUTOR: "ProcessPoolExecutor | None" = None
-_WARM_KEY: "tuple[int, str] | None" = None
+_WARM_POOL: "_WorkerPool | None" = None
+
+#: Seconds :func:`shutdown_warm_pool` waits for idle workers to exit on
+#: their stop message before SIGKILLing them.
+_JOIN_SECONDS = 5.0
 
 
-def warm_executor(workers: int, start_method: str,
-                  initargs: "tuple | None" = None) -> ProcessPoolExecutor:
-    """The shared warm executor, created on first use.
+def warm_pool(workers: int, start_method: str,
+              initargs: "tuple | None" = None) -> _WorkerPool:
+    """The shared warm pool, created on first use.
 
-    ``initargs`` is only consulted when a new executor must be built; an
-    existing executor is reused as-is (its workers rebuild lazily from the
+    ``initargs`` is only consulted when a new pool must be built; an
+    existing pool is reused as-is (its workers rebuild lazily from the
     per-job recipe when parameters changed).
     """
-    global _WARM_EXECUTOR, _WARM_KEY
+    global _WARM_POOL
     key = (workers, start_method)
-    if _WARM_EXECUTOR is not None and _WARM_KEY != key:
+    if _WARM_POOL is not None and _WARM_POOL.key != key:
         shutdown_warm_pool()
-    if _WARM_EXECUTOR is None:
-        context = multiprocessing.get_context(start_method)
-        if initargs is None:
-            _WARM_EXECUTOR = ProcessPoolExecutor(
-                max_workers=workers, mp_context=context,
-                initializer=_ignore_shutdown_signals)
-        else:
-            _WARM_EXECUTOR = ProcessPoolExecutor(
-                max_workers=workers, mp_context=context,
-                initializer=_init_worker, initargs=initargs)
-        _WARM_KEY = key
-    return _WARM_EXECUTOR
+    if _WARM_POOL is None:
+        _WARM_POOL = _WorkerPool(key, initargs)
+    return _WARM_POOL
+
+
+def _kill_executor_workers(workers: "Sequence[_Worker]") -> None:
+    """SIGKILL ``workers`` and reap them: the watchdog's lever on a hung
+    worker, and the teardown of busy workers and stragglers.  The name
+    is older than the owned pool: perfbench/spans.py times it by name."""
+    for worker in workers:
+        worker.process.kill()
+    for worker in workers:
+        worker.process.join()
 
 
 def shutdown_warm_pool() -> None:
-    """Tear the persistent executor down (tests, atexit, broken pools)."""
-    global _WARM_EXECUTOR, _WARM_KEY
-    if _WARM_EXECUTOR is not None:
-        _WARM_EXECUTOR.shutdown(wait=False, cancel_futures=True)
-        _WARM_EXECUTOR = None
-        _WARM_KEY = None
+    """Stop the warm pool (tests, atexit, failed runs).
+
+    Idle workers get a stop message and up to :data:`_JOIN_SECONDS` to
+    exit.  Busy workers (a hung chaos worker sleeps for an hour) and
+    stragglers are SIGKILLed, so shutdown never waits on a chunk.
+    """
+    global _WARM_POOL
+    pool, _WARM_POOL = _WARM_POOL, None
+    if pool is None:
+        return
+    idle = [worker for worker in pool.workers if worker.job is None]
+    for worker in idle:
+        with suppress(OSError):
+            worker.conn.send(None)
+    deadline = time.monotonic() + _JOIN_SECONDS
+    for worker in idle:
+        worker.process.join(max(0.0, deadline - time.monotonic()))
+    _kill_executor_workers([worker for worker in pool.workers
+                            if worker.process.exitcode is None])
+    for worker in pool.workers:
+        worker.conn.close()
 
 
 atexit.register(shutdown_warm_pool)
@@ -372,9 +545,6 @@ class _ChunkJob:
     #: Deterministic failure injection (chaos drills); consulted at chunk
     #: pickup before any visit runs.
     chaos: "ChaosPolicy | None" = None
-    #: Supervised runs only: the directory where the worker leaves its
-    #: crash breadcrumb (:func:`_leave_breadcrumb`).
-    breadcrumb_dir: "str | None" = None
 
 
 @dataclass(frozen=True)
@@ -405,82 +575,49 @@ class _ChunkResult:
     metrics: "dict | None" = None
 
 
-def _leave_breadcrumb(directory: "str | None", chunk_index: int
-                     ) -> "str | None":
-    """Write ``chunk_index`` to this worker's breadcrumb file.
-
-    The file is named after the worker's pid, so on a pool crash the
-    parent can tell which chunk a dead worker was running.  Process death
-    does not lose a completed ``write`` (the data is in the page cache),
-    so no fsync is needed.  Best-effort: returns the path, or ``None``
-    when there is no directory or the write failed (a crash in this
-    chunk then names nothing, and its lost chunks requeue strike-free).
-    """
-    if directory is None:
-        return None
-    path = os.path.join(directory, str(os.getpid()))
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        try:
-            os.write(fd, str(chunk_index).encode())
-        finally:
-            os.close(fd)
-    except OSError:
-        return None
-    return path
-
-
 def _crawl_chunk(job: _ChunkJob) -> _ChunkResult:
     """Worker entry point: crawl one chunk on the warm serial pool.
 
-    Under supervision the worker first leaves a breadcrumb naming the
-    chunk, and clears it when the chunk returns.  Observability mirrors
-    the parent per job (:func:`repro.obs.observe_job`).  The chunk runs
-    against a worker-local
-    :class:`~repro.crawler.telemetry.CrawlTelemetry`; its snapshot ships
-    back as a :class:`~repro.crawler.telemetry.ChunkTelemetry` delta (this
-    is also how guard events cross the process boundary).
+    Observability mirrors the parent per job
+    (:func:`repro.obs.observe_job`).  The chunk runs against a
+    worker-local :class:`~repro.crawler.telemetry.CrawlTelemetry`; its
+    snapshot ships back as a
+    :class:`~repro.crawler.telemetry.ChunkTelemetry` delta (this is also
+    how guard events cross the process boundary).
     """
     from repro.crawler.storage import CrawlStore
 
-    breadcrumb = _leave_breadcrumb(job.breadcrumb_dir, job.chunk_index)
-    _ignore_shutdown_signals()
-    try:
-        with observe_job(job.trace, job.count) as export:
-            pool = _worker_pool(job.recipe, job.web_fp, job.pool_fp)
-            if job.chaos is not None:
-                job.chaos.on_chunk(job.ranks)
-            local = CrawlTelemetry()
-            start = time.perf_counter()
-            with TRACER.span("crawl.chunk", chunk=job.chunk_index,
-                             ranks=len(job.ranks)):
-                visits = list(pool.run(job.ranks, telemetry=local).visits)
-            seconds = time.perf_counter() - start
-            checksums: tuple[int, ...] = ()
-            if job.sidecar_path is not None:
-                with CrawlStore(Path(job.sidecar_path)) as sidecar:
-                    sidecar.save_visits(visits)
-                    sidecar.flush()
-                    checksums = tuple(
-                        checksum for _, checksum
-                        in sorted(sidecar.stored_checksums().items()))
-            return _ChunkResult(
-                chunk_index=job.chunk_index,
-                ranks=job.ranks,
-                checksums=checksums,
-                visits_blob=(pickle.dumps(visits, protocol=5)
-                             if job.collect else None),
-                sidecar_path=job.sidecar_path,
-                telemetry=ChunkTelemetry.from_snapshot(local.snapshot()),
-                seconds=seconds,
-                worker_pid=os.getpid(),
-                web_builds=_WORKER_WEB_BUILDS,
-                **export(),
-            )
-    finally:
-        if breadcrumb is not None:
-            with suppress(OSError):
-                os.unlink(breadcrumb)
+    with observe_job(job.trace, job.count) as export:
+        pool = _worker_pool(job.recipe, job.web_fp, job.pool_fp)
+        if job.chaos is not None:
+            job.chaos.on_chunk(job.ranks)
+        local = CrawlTelemetry()
+        start = time.perf_counter()
+        with TRACER.span("crawl.chunk", chunk=job.chunk_index,
+                         ranks=len(job.ranks)):
+            visits = list(pool.run(job.ranks, telemetry=local).visits)
+        seconds = time.perf_counter() - start
+        checksums: tuple[int, ...] = ()
+        if job.sidecar_path is not None:
+            with CrawlStore(Path(job.sidecar_path)) as sidecar:
+                sidecar.save_visits(visits)
+                sidecar.flush()
+                checksums = tuple(
+                    checksum for _, checksum
+                    in sorted(sidecar.stored_checksums().items()))
+        return _ChunkResult(
+            chunk_index=job.chunk_index,
+            ranks=job.ranks,
+            checksums=checksums,
+            visits_blob=(pickle.dumps(visits, protocol=5)
+                         if job.collect else None),
+            sidecar_path=job.sidecar_path,
+            telemetry=ChunkTelemetry.from_snapshot(local.snapshot()),
+            seconds=seconds,
+            worker_pid=os.getpid(),
+            web_builds=_WORKER_WEB_BUILDS,
+            **export(),
+        )
 
 
 def _mp_context(name: "str | None" = None
@@ -595,49 +732,6 @@ def _sweep_chunk_sidecars(store_path: Path) -> None:
             stale.unlink()
 
 
-def _kill_executor_workers(executor: ProcessPoolExecutor) -> None:
-    """SIGKILL every worker process of ``executor``.
-
-    The watchdog's only lever: ``ProcessPoolExecutor`` cannot cancel a
-    running future, so a hung chunk is evicted by killing its (and,
-    unavoidably, its siblings') workers — which breaks the pool and
-    funnels the hang through the one crash-recovery path.  Reaches into
-    ``executor._processes`` (stable since 3.7); if that private map ever
-    vanishes the kill degrades to a no-op and recovery proceeds by
-    abandoning the futures instead.
-    """
-    processes = getattr(executor, "_processes", None) or {}
-    kill_signal = getattr(signal, "SIGKILL", signal.SIGTERM)
-    for pid in list(processes):
-        with suppress(ProcessLookupError, OSError):
-            os.kill(pid, kill_signal)
-
-
-def _crashed_worker_breadcrumbs(executor: ProcessPoolExecutor,
-                                directory: Path) -> list["int | None"]:
-    """The chunk indices that the breadcrumbs of dead workers name.
-
-    Called on ``BrokenProcessPool`` before the survivors are SIGKILLed.
-    A worker whose ``Process.sentinel`` is already readable exited on its
-    own: the executor only SIGTERMs its siblings, which ignore it and stay
-    alive.  One entry per exited worker, ``None`` when its breadcrumb is
-    empty or missing (it died between chunks).  Uses
-    ``executor._processes`` like :func:`_kill_executor_workers`, and finds
-    nothing if that map is gone.
-    """
-    processes = dict(getattr(executor, "_processes", None) or {})
-    sentinels = {process.sentinel: pid for pid, process in processes.items()}
-    breadcrumbs: list["int | None"] = []
-    for sentinel in multiprocessing.connection.wait(list(sentinels),
-                                                    timeout=0):
-        try:
-            text = (directory / str(sentinels[sentinel])).read_text()
-        except OSError:
-            text = ""
-        breadcrumbs.append(int(text) if text.isdigit() else None)
-    return breadcrumbs
-
-
 def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
                        progress: "Callable[[int, int], None] | None" = None,
                        store: "CrawlStore | None" = None,
@@ -649,26 +743,27 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
     """Crawl ``targets`` across warm worker processes; returns visits
     rank-sorted.
 
-    Chunks are dispatched incrementally on the adaptive schedule (at most
-    ``workers + 1`` outstanding).  With ``store=``, each worker persists
-    its chunk to a sidecar store and the parent merges it — one
-    ATTACH merge per chunk, so checkpointing advances in chunk-sized steps
-    without visits ever crossing the result pipe.  Telemetry is applied as
-    per-chunk deltas under ``chunk-NNN`` worker names.  With
-    ``collect=False`` an empty list is returned (bounded-memory mode).
+    Chunks are dispatched incrementally on the adaptive schedule, one per
+    worker; a worker gets its next chunk before the parent merges the one
+    it returned.  With ``store=``, each worker persists its chunk to a
+    sidecar store and the parent merges it — one ATTACH merge per chunk,
+    so checkpointing advances in chunk-sized steps without visits ever
+    crossing the result pipe.  Telemetry is applied as per-chunk deltas
+    under ``chunk-NNN`` worker names.  With ``collect=False`` an empty
+    list is returned (bounded-memory mode).
 
-    On a stop request the parent cancels queued chunks but drains running
-    ones (workers ignore signals), merging whatever they finish — the
-    checkpoint keeps every completed chunk.
+    On a stop request the parent hands out no more chunks but drains the
+    running ones (workers ignore signals), merging whatever they finish —
+    the checkpoint keeps every completed chunk.
 
     With ``supervisor=`` (a :class:`SupervisorConfig`), worker crashes,
     hung chunks and flaky sidecar merges are survived instead of fatal:
-    the pool is rebuilt within the crash budget, lost chunks are replayed
-    byte-identically, repeat offenders are bisected down to the poison
-    rank and quarantined (DESIGN.md §4k).  Without it, behaviour is
-    exactly the pre-supervision backend: a ``BrokenProcessPool`` tears
-    the warm pool down, sweeps leftover sidecars and re-raises.
-    ``chaos=`` injects deterministic failures (drills and tests).
+    the dead worker is respawned within the crash budget, its chunk is
+    replayed byte-identically, repeat offenders are bisected down to the
+    poison rank and quarantined (DESIGN.md §4k).  Without it, a dead
+    worker raises ``BrokenProcessPool`` after the warm pool is torn down
+    and leftover sidecars are swept.  ``chaos=`` injects deterministic
+    failures (drills and tests).
     """
     if pool._custom_factory:
         raise ValueError(
@@ -696,30 +791,19 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
 
     initargs = (recipe_blob, web_fp, pool_fp)
     start_method = _mp_context(pool.mp_context).get_start_method()
-    executor = warm_executor(pool.workers, start_method, initargs=initargs)
     sup = (ChunkSupervisor(supervisor) if supervisor is not None else None)
     pool.last_supervisor_stats = None
-    #: Per-run directory of worker crash breadcrumbs (supervised only).
-    breadcrumbs = (tempfile.TemporaryDirectory(prefix="repro-breadcrumbs-",
-                                               ignore_cleanup_errors=True)
-                   if sup is not None else None)
     template = _ChunkJob(
         recipe=recipe, web_fp=web_fp, pool_fp=pool_fp, ranks=(),
         collect=collect, trace=TRACER.enabled, count=_metrics.COUNTING,
-        chaos=chaos,
-        breadcrumb_dir=breadcrumbs.name if breadcrumbs is not None else None)
-    dispatch = _ProcessDispatch(
+        chaos=chaos)
+    return _ProcessDispatch(
         pool=pool, targets=targets, progress=progress, store=store,
         telemetry=telemetry, sup=sup, template=template, initargs=initargs,
-        start_method=start_method, executor=executor,
+        workers=warm_pool(pool.workers, start_method, initargs=initargs),
         scheduler=_ChunkScheduler(len(targets), pool.workers,
                                   replay=pool.chunk_schedule),
-        run_tag=f"{os.getpid():x}-{next(_RUN_SEQUENCE):x}")
-    try:
-        return dispatch.run()
-    finally:
-        if breadcrumbs is not None:
-            breadcrumbs.cleanup()
+        run_tag=f"{os.getpid():x}-{next(_RUN_SEQUENCE):x}").run()
 
 
 @dataclass(eq=False)
@@ -727,10 +811,10 @@ class _ProcessDispatch:
     """The dispatch loop of one :func:`crawl_in_processes` run.
 
     The fields up to ``run_tag`` are the run's set-up; the rest are the
-    loop's mutable state.  ``executor`` is replaced after every
-    supervised crash.  The executor helpers (``wait``,
-    :func:`_kill_executor_workers`, :func:`shutdown_warm_pool`) are looked
-    up as module globals at call time, so profilers can wrap them.
+    loop's mutable state.  Each worker of ``workers`` holds at most one
+    chunk, so a dead worker names its own chunk and nothing else is lost.
+    :func:`_kill_executor_workers` and :func:`shutdown_warm_pool` are
+    looked up as module globals at call time, so profilers can wrap them.
     """
 
     pool: "CrawlerPool"
@@ -741,9 +825,9 @@ class _ProcessDispatch:
     sup: "ChunkSupervisor | None"
     #: Every submitted job is this one with its ranks, index and sidecar.
     template: _ChunkJob
+    #: The worker initializer's arguments, for respawns.
     initargs: tuple
-    start_method: str
-    executor: ProcessPoolExecutor
+    workers: _WorkerPool
     scheduler: _ChunkScheduler
     run_tag: str
     visits: list[SiteVisit] = field(default_factory=list)
@@ -751,17 +835,31 @@ class _ProcessDispatch:
     quarantined_count: int = 0
     next_target: int = 0
     chunk_index: int = 0
-    pending: "set[Future]" = field(default_factory=set)
-    #: Future → job, for crash attribution and requeue.  Only maintained
-    #: under supervision, so the unsupervised hot path is unchanged.
-    jobs: "dict[Future, _ChunkJob]" = field(default_factory=dict)
     #: Rank tuples the supervisor wants resubmitted, drained before the
     #: scheduler hands out fresh chunks.
     requeued: "deque[tuple[int, ...]]" = field(default_factory=deque)
     web_builds_by_pid: dict[int, int] = field(default_factory=dict)
     stopped: bool = False
 
-    def submit_ranks(self, ranks: "tuple[int, ...]") -> None:
+    def busy(self) -> list[_Worker]:
+        return [worker for worker in self.workers.workers
+                if worker.job is not None]
+
+    def work_left(self) -> bool:
+        return not self.stopped and bool(
+            self.requeued or self.scheduler.dispatched < self.scheduler.total)
+
+    def submit_next(self, worker: _Worker) -> bool:
+        """Hand ``worker`` its next chunk; ``False`` when none is left."""
+        if self.requeued:
+            ranks = self.requeued.popleft()
+        else:
+            size = self.scheduler.next_size()
+            if size <= 0:
+                return False
+            start = self.next_target
+            self.next_target += size
+            ranks = tuple(self.targets[start:start + size])
         index = self.chunk_index
         self.chunk_index += 1
         sidecar = (str(_chunk_sidecar_path(self.store.path, self.run_tag,
@@ -770,31 +868,26 @@ class _ProcessDispatch:
         job = replace(self.template, ranks=ranks, chunk_index=index,
                       sidecar_path=sidecar)
         try:
-            future = self.executor.submit(_crawl_chunk, job)
-        except BrokenProcessPool:
-            # The pool broke while idle; keep the ranks and let the
-            # recovery path rebuild before they are resubmitted.
+            self.workers.submit(worker, _crawl_chunk, job)
+        except OSError:
+            # The worker died idle; its sentinel reports it, and another
+            # worker takes the ranks.
             self.requeued.appendleft(ranks)
-            raise
-        self.pending.add(future)
-        if self.sup is not None:
-            self.jobs[future] = job
-            self.sup.note_submitted(index)
-
-    def submit_next(self) -> bool:
-        if self.requeued:
-            self.submit_ranks(self.requeued.popleft())
             return True
-        if self.sup is not None and self.sup.holds_fresh_chunks(
-                self.jobs[f].ranks for f in self.pending if f in self.jobs):
-            return False
-        size = self.scheduler.next_size()
-        if size <= 0:
-            return False
-        start = self.next_target
-        self.next_target += size
-        self.submit_ranks(tuple(self.targets[start:start + size]))
+        if self.sup is not None:
+            self.sup.note_submitted(index)
         return True
+
+    def top_up(self) -> None:
+        if self.pool.stop_requested and not self.stopped:
+            self.stopped = True
+            self.requeued.clear()
+            logger.warning("crawl stop requested: draining %d running "
+                           "chunk(s)", len(self.busy()))
+        for worker in self.workers.workers:
+            if worker.job is None and (self.stopped
+                                       or not self.submit_next(worker)):
+                return
 
     def apply_plan(self, plan: RecoveryPlan) -> None:
         # The latest failure's chunks go ahead of older requeues.
@@ -840,7 +933,7 @@ class _ProcessDispatch:
         # The sidecar is gone but sites are pure (seed, rank) functions:
         # recrawl the chunk through the strike machinery (quarantines it
         # if the merge keeps dying on the same ranks).  No rebuild cost —
-        # the worker pool is healthy.
+        # the workers are healthy.
         logger.error("chunk %03d merge failed after %d attempt(s); "
                      "requeueing ranks: %s", result.chunk_index, attempts,
                      failure)
@@ -868,97 +961,44 @@ class _ProcessDispatch:
             self.progress(self.completed + self.quarantined_count,
                           len(self.targets))
 
-    def recover_from_crash(self, crashed: "list[Future]", *, cause: str,
-                           names: "list[int] | None" = None) -> None:
-        """Supervised ``BrokenProcessPool`` handling: ingest what finished,
-        sweep the wreckage, rebuild the pool, requeue the rest.
-
-        ``names`` are the chunk indices the watchdog found hung; without
-        them the dead workers' breadcrumbs name the guilty chunks.
-        """
-        sup, jobs, store = self.sup, self.jobs, self.store
-        # Read the dead workers' breadcrumbs first: once the survivors
-        # are killed every worker looks dead.
-        if names is None:
-            names = _crashed_worker_breadcrumbs(
-                self.executor, Path(self.template.breadcrumb_dir))
-        lost_jobs = [jobs.pop(f) for f in crashed if f in jobs]
-        # Everything still outstanding is doomed (the executor is broken)
-        # — but a chunk whose result landed just before the break is a
-        # survivor, so harvest results one last time before requeueing.
-        survivors: list[_ChunkResult] = []
-        done, rest = wait(self.pending, timeout=0)
-        for future in done:
-            try:
-                survivors.append(future.result())
-                jobs.pop(future, None)
-            except (Exception, CancelledError):
-                job = jobs.pop(future, None)
-                if job is not None:
-                    lost_jobs.append(job)
-        for future in rest:
-            if not future.cancel() and future.done():
-                with suppress(Exception, CancelledError):
-                    survivors.append(future.result())
-                    jobs.pop(future, None)
-                    continue
-            job = jobs.pop(future, None)
-            if job is not None:
-                lost_jobs.append(job)
-        self.pending.clear()
-        for result in survivors:
-            sup.note_finished(result.chunk_index)
-            self.ingest(result)
+    def lose(self, worker: _Worker, cause: str) -> None:
+        """A worker died, or the watchdog killed it: respawn it alone and
+        hand the chunk it held to the supervisor, which names it.  A
+        worker that died between chunks loses nothing."""
+        job, worker.job = worker.job, None
+        if self.sup is None:
+            raise BrokenProcessPool(
+                f"crawl worker pid {worker.process.pid} died (exit code "
+                f"{worker.process.exitcode})")
+        lost = [] if job is None else [job.ranks]
         with TRACER.span("supervisor.rebuild", cause=cause,
-                         chunks_lost=len(lost_jobs)):
-            # A broken pool can still hold live workers (e.g. one sleeping
-            # in a hung visit while another died); executor teardown
-            # *joins* them, so make sure they are dead first or the
-            # rebuild would block until the hang ended of its own accord.
-            _kill_executor_workers(self.executor)
-            shutdown_warm_pool()
-            if store is not None:
-                # Crashed workers leave half-written sidecars; replays
-                # write fresh ones, so sweep the wreckage now (not just at
-                # the next run's start).
-                _sweep_chunk_sidecars(store.path)
-            for job in lost_jobs:
-                sup.note_finished(job.chunk_index)
-            named = attribute_crash(
-                names, {job.chunk_index: job.ranks for job in lost_jobs})
+                         chunks_lost=len(lost)):
+            if job is not None:
+                self.sup.note_finished(job.chunk_index)
+                if job.sidecar_path is not None:
+                    _delete_sidecar(Path(job.sidecar_path))
             logger.error(
-                "worker pool crash (%s): lost %d in-flight chunk(s), "
-                "named %s, rebuild %d/%d", cause, len(lost_jobs),
-                sorted(named) or "none", sup.rebuilds + 1,
-                sup.config.max_pool_rebuilds)
-            self.apply_plan(sup.on_pool_crash(
-                [job.ranks for job in lost_jobs], cause=cause, named=named))
-            self.executor = warm_executor(self.pool.workers,
-                                          self.start_method,
-                                          initargs=self.initargs)
+                "crawl worker pid %d lost (%s) holding chunk %s, respawn "
+                "%d/%d", worker.process.pid, cause,
+                "none" if job is None else f"{job.chunk_index:03d}",
+                self.sup.rebuilds + 1, self.sup.config.max_pool_rebuilds)
+            self.apply_plan(self.sup.on_pool_crash(
+                lost, cause=cause,
+                named={} if job is None else {job.chunk_index: job.ranks}))
+            self.workers.respawn(worker, self.initargs)
 
     def check_watchdog(self) -> None:
-        jobs = self.jobs
-        sizes = {jobs[f].chunk_index: len(jobs[f].ranks)
-                 for f in self.pending if f in jobs}
-        late = self.sup.overdue(sizes, self.scheduler.observed_rate())
-        if not late:
-            return
-        logger.error(
-            "watchdog: chunk(s) %s exceeded their deadline — killing "
-            "workers to recycle the pool", late)
-        _kill_executor_workers(self.executor)
-        self.recover_from_crash([], cause="hang", names=late)
-
-    def top_up(self, limit: int) -> None:
-        while len(self.pending) < limit:
-            try:
-                if not self.submit_next():
-                    return
-            except BrokenProcessPool:
-                if self.sup is None:
-                    raise
-                self.recover_from_crash([], cause="worker-crash")
+        busy = self.busy()
+        late = self.sup.overdue(
+            {worker.job.chunk_index: len(worker.job.ranks)
+             for worker in busy}, self.scheduler.observed_rate())
+        for worker in busy:
+            # A reply already in the pipe is no hang.
+            if worker.job.chunk_index in late and not worker.conn.poll():
+                logger.error("watchdog: chunk %03d exceeded its deadline — "
+                             "killing its worker", worker.job.chunk_index)
+                _kill_executor_workers([worker])
+                self.lose(worker, cause="hang")
 
     def run(self) -> list[SiteVisit]:
         pool, sup = self.pool, self.sup
@@ -966,74 +1006,37 @@ class _ProcessDispatch:
                    if sup is not None and sup.config.watchdog_enabled
                    else None)
         try:
-            self.top_up(pool.workers)
-            while self.pending or self.requeued:
-                if not self.pending:
-                    if self.stopped:
-                        break  # interrupted: requeues stay uncrawled
-                    # Possible after a recovery whose requeues have not
-                    # been resubmitted yet (e.g. the budget-spending
-                    # crash happened during top-up).
-                    self.top_up(pool.workers + 1)
-                    if not self.pending:
-                        break
-                done, self.pending = wait(self.pending, timeout=timeout,
-                                          return_when=FIRST_COMPLETED)
-                crashed: list[Future] = []
-                for future in done:
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        if sup is None:
-                            raise
-                        crashed.append(future)
-                        continue
-                    if sup is not None:
-                        self.jobs.pop(future, None)
-                        sup.note_finished(result.chunk_index)
-                    self.ingest(result)
-                if crashed:
-                    self.recover_from_crash(crashed, cause="worker-crash")
-                elif sup is not None and not done and self.pending:
+            # Workers that died idle since the last run lose nothing.
+            for worker in self.workers.wait(timeout=0)[1]:
+                self.lose(worker, cause="worker-crash")
+            self.top_up()
+            while self.busy() or self.work_left():
+                replies, dead = self.workers.wait(timeout)
+                if sup is not None:
+                    for job, _ in replies:
+                        sup.note_finished(job.chunk_index)
+                for worker in dead:
+                    self.lose(worker, cause="worker-crash")
+                if timeout is not None:
                     self.check_watchdog()
-                if pool.stop_requested and not self.stopped:
-                    self.stopped = True
-                    self.requeued.clear()
-                    cancelled = {f for f in self.pending if f.cancel()}
-                    self.pending -= cancelled
-                    for future in cancelled:
-                        self.jobs.pop(future, None)
-                    logger.warning(
-                        "crawl stop requested: cancelled %d queued "
-                        "chunk(s), draining %d running", len(cancelled),
-                        len(self.pending))
-                if not self.stopped:
-                    self.top_up(pool.workers + 1)
-        except BrokenProcessPool:
-            # Unsupervised: a worker died hard (OOM kill, segfault); the
-            # executor is unusable, so drop it — the next run builds a
-            # fresh warm pool — and sweep the crashed workers' sidecar
-            # files rather than leaking them until that run starts.  Kill
-            # the survivors first: they ignore the executor's SIGTERM, and
-            # one finishing its chunk would write a sidecar after the
-            # sweep.
-            _kill_executor_workers(self.executor)
+                # Workers get their next chunk before the merges below.
+                self.top_up()
+                for _, result in replies:
+                    self.ingest(result)
+                self.top_up()  # a failed merge may have requeued ranks
+        except BaseException:
+            # Workers may still hold this run's chunks: stop them all, so
+            # none writes a sidecar after the sweep; the next run starts a
+            # fresh pool.
             shutdown_warm_pool()
             if self.store is not None:
                 _sweep_chunk_sidecars(self.store.path)
-            raise
-        except PoolCrashError:
-            pool.last_supervisor_stats = sup.stats()
+            if sup is not None:
+                pool.last_supervisor_stats = sup.stats()
             raise
 
         if sup is not None:
             pool.last_supervisor_stats = sup.stats()
-            if self.store is not None and sup.rebuilds:
-                # A worker surviving a torn-down pool can flush its
-                # sidecar *after* the rebuild-time sweep; its chunk was
-                # requeued and merged from a fresh sidecar, so the stray
-                # file is garbage.
-                _sweep_chunk_sidecars(self.store.path)
         pool.last_chunk_schedule = {
             "mode": "replay" if pool.chunk_schedule else "adaptive",
             "target_chunk_seconds": TARGET_CHUNK_SECONDS,

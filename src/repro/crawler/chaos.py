@@ -123,13 +123,10 @@ class ChaosPolicy:
 
         Crash injections (kills, poisons, merge errors) are placed in the
         *first half* of the rank space and hangs in the *last quarter*:
-        chunks dispatch in rank order, and no fresh chunk is dispatched
-        while a chunk a crash breadcrumb named reruns, so the crash storm
-        — including the crashes that bisect the poison rank's chunk down
-        to the rank — is resolved before any hang chunk is in flight.  That keeps the
-        watchdog the sole owner of the hang (a crash recovery that
-        happened to doom a co-flying hung chunk would otherwise absorb
-        it, leaving ``watchdog_hangs`` racy).
+        chunks dispatch in rank order, so a drill's report reads as the
+        crash storm (including the crashes that bisect the poison rank's
+        chunk down to the rank) followed by the hang.  A crash loses only
+        its own worker's chunk, so the watchdog always owns the hang.
         """
         wanted = kills + hangs + poisons + merge_errors
         rng = random.Random(seed)

@@ -435,8 +435,8 @@ class CrawlerPool:
         :meth:`request_stop` does the same programmatically.
 
         With ``max_pool_rebuilds=N`` (N > 0; process backend only), the
-        run is supervised: a crashed or hung worker pool is rebuilt up to
-        N times, lost chunks are requeued, and a visit that repeatedly
+        run is supervised: a crashed or hung worker is respawned up to N
+        times, its chunk is requeued, and a visit that repeatedly
         kills workers is bisected down to its rank and quarantined as
         ``poison-visit`` instead of sinking the run (see
         :mod:`repro.crawler.supervisor`).  Pass ``supervisor=`` a full

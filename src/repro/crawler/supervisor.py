@@ -1,65 +1,51 @@
 """Self-healing supervision for the process crawl backend (DESIGN.md §4k).
 
-The process backend's failure domain is the whole executor: one worker
-dying of an OOM kill or segfault breaks the :class:`ProcessPoolExecutor`
-and, before this module, the run — every in-flight chunk was lost.  The
-supervisor turns those events into bounded, deterministic recovery:
+The process backend runs each chunk on an owned worker process that holds
+at most one chunk.  Without supervision one worker dying of an OOM kill
+or segfault sinks the run.  The supervisor turns those events into
+bounded, deterministic recovery:
 
-* **Crash recovery.**  Each ``BrokenProcessPool`` costs one *rebuild*
-  from a per-run budget (``max_pool_rebuilds``); the warm pool is torn
-  down and rebuilt, crashed workers' half-written ``.wchunk-*`` sidecars
-  are swept, and lost chunks are resubmitted.  Sites are pure functions
-  of ``(seed, rank)``, so a replayed chunk produces byte-identical rows —
-  recovery cannot change the dataset.
+* **Crash recovery.**  Each dead worker costs one *rebuild* from a
+  per-run budget (``max_pool_rebuilds``): that worker alone is respawned,
+  its half-written ``.wchunk-*`` sidecar is deleted, and its chunk is
+  resubmitted while the other workers keep crawling.  Sites are pure
+  functions of ``(seed, rank)``, so a replayed chunk produces
+  byte-identical rows — recovery cannot change the dataset.
 
-* **Names and strikes.**  A bare ``BrokenProcessPool`` cannot say
-  *which* in-flight chunk killed the worker, so each supervised worker
-  writes the index of the chunk it is about to run into a per-worker
-  breadcrumb file, and clears it when the chunk returns.  On a crash the
-  backend reads the breadcrumbs of the workers that exited on their own
-  (:func:`attribute_crash` turns them into the named lost chunks).  The
-  hang watchdog names the chunk it found overdue, and a failed sidecar
-  merge names its own chunk.  Only a named chunk takes a *strike*; every
-  other lost chunk requeues strike-free.  A named chunk reaching
-  :attr:`SupervisorConfig.suspect_strikes` is bisected into two ordinary
-  requeued halves (which inherit its strikes), so each further failure
-  halves the suspect span; a named single rank at the threshold is
-  *quarantined*: recorded in the store's ``quarantine`` table (the PR-5
-  corrupt-row mechanism) under the ``poison-visit`` taxonomy, and the
-  rest of the run proceeds without it.  Named chunks rerun ahead of the
-  bystanders, and while one is in flight no fresh chunk starts
-  (:meth:`ChunkSupervisor.holds_fresh_chunks`), so a poison rank's
-  crashes come back to back and kill no new work.  Isolating one poison
-  rank out of a chunk of *n* costs about ``suspect_strikes + log2(n)``
-  rebuilds.
+* **Names and strikes.**  The parent knows which chunk each worker
+  holds, so a dead worker's sentinel names its chunk; the hang watchdog
+  names the chunk it found overdue, and a failed sidecar merge names its
+  own chunk.  Only a named chunk takes a *strike*.  A named chunk
+  reaching :attr:`SupervisorConfig.suspect_strikes` is bisected into two
+  ordinary requeued halves (which inherit its strikes), so each further
+  failure halves the suspect span; a named single rank at the threshold
+  is *quarantined*: recorded in the store's ``quarantine`` table (the
+  corrupt-row mechanism of DESIGN.md §4g) under the ``poison-visit``
+  taxonomy, and the rest of the run proceeds without it.  Isolating one poison rank out
+  of a chunk of *n* costs about ``suspect_strikes + log2(n)`` rebuilds.
 
-* **Crashes with no name.**  A crash whose dead workers left no
-  breadcrumb still spends a rebuild, but every lost chunk requeues
-  without a strike.  A poison rank whose crashes are never named
-  therefore ends the run in :class:`PoolCrashError` once the budget is
-  spent; ``resume=True`` continues from the checkpoint store.  Each
-  ``pool-rebuild`` event records its ``attribution`` (``breadcrumb``,
-  ``watchdog`` or ``none``) and its ``named_chunks``.
+* **Crashes with no name.**  A worker that dies between chunks still
+  spends a rebuild, but it held nothing, so nothing is requeued or
+  struck.  Each ``pool-rebuild`` event records its ``attribution``
+  (``sentinel``, ``watchdog`` or ``none``) and its ``named_chunks``.
 
 * **Hang watchdog.**  Chunk deadlines derive from the adaptive
   scheduler's observed rate (``watchdog_factor ×`` the expected chunk
-  duration, floored while no rate is known).  An over-deadline chunk has
-  its workers killed — deliberately breaking the pool so the hang joins
-  the one crash-recovery path — and is named, so it is the only chunk
-  that takes a strike for it; innocent in-flight chunks requeue
-  strike-free.
+  duration, floored while no rate is known).  An over-deadline chunk's
+  worker is SIGKILLed and respawned like a crashed one, and the chunk is
+  named.
 
 * **Merge retry.**  A ``sqlite3.OperationalError`` while folding a chunk
   sidecar into the main store is retried (the sidecar is still on disk);
   a chunk whose merge keeps failing is named and recrawled through the
-  same strike machinery, without spending the rebuild budget (the pool
-  is fine).
+  same strike machinery, without spending the rebuild budget (the
+  workers are fine).
 
-The class here is deliberately pure bookkeeping — no executor handles, no
+The class here is deliberately pure bookkeeping — no process handles, no
 filesystem, injectable clock — so the strike/bisection/budget logic is
 unit-testable without spawning a single process.  The backend
-(:func:`repro.crawler.backends.crawl_in_processes`) owns the actual pool
-teardown, sidecar sweep and resubmission.
+(:func:`repro.crawler.backends.crawl_in_processes`) owns the respawns,
+sidecar deletion and resubmission.
 
 When the budget runs out, :class:`PoolCrashError` surfaces with the full
 event history, so nine-day runs fail with a story instead of a bare
@@ -92,7 +78,8 @@ class SupervisorConfig:
     crash.
     """
 
-    #: Pool rebuilds allowed per run before :class:`PoolCrashError`.
+    #: Worker respawns (rebuilds) allowed per run before
+    #: :class:`PoolCrashError`.
     max_pool_rebuilds: int = 8
     #: Chunk losses before a multi-rank chunk is bisected and before a
     #: single-rank chunk is quarantined as poison.
@@ -159,31 +146,13 @@ class PoolCrashError(RuntimeError):
 
 @dataclass(frozen=True)
 class RecoveryPlan:
-    """What the backend must do after a pool crash (or merge failure)."""
+    """What the backend must do after a worker crash (or merge failure)."""
 
-    #: Rank tuples to resubmit, in order: the named chunks (or their
-    #: bisected halves, kept contiguous) ahead of the bystanders.
+    #: Rank tuples to resubmit, in order (a bisected chunk's halves stay
+    #: contiguous).
     requeue: tuple[tuple[int, ...], ...]
     #: ``(rank, detail)`` pairs to quarantine as ``poison-visit``.
     quarantine: tuple[tuple[int, str], ...]
-
-
-def attribute_crash(names: "Iterable[int | None]",
-                    lost: "Mapping[int, tuple[int, ...]]",
-                    ) -> dict[int, tuple[int, ...]]:
-    """The lost chunks that ``names`` names.
-
-    ``names`` holds chunk indices: one per worker that exited on its own
-    (the index its breadcrumb file named, or ``None`` when the file was
-    empty or missing — the worker died between chunks), or the chunks
-    the watchdog found hung.  ``lost`` maps each lost chunk's index to
-    its ranks.  A name of no lost chunk is ignored, so the result (chunk
-    index → ranks, in index order) is empty whenever the crash cannot be
-    attributed exactly.
-    """
-    named = {index for index in names if index is not None}
-    return {index: tuple(lost[index]) for index in sorted(named)
-            if index in lost}
 
 
 class ChunkSupervisor:
@@ -206,8 +175,6 @@ class ChunkSupervisor:
         self.config = config
         self._clock = clock
         self._strikes: dict[tuple[int, ...], int] = {}
-        #: Chunks a failure named, and the halves they bisected into.
-        self._named: set[tuple[int, ...]] = set()
         self._submitted_at: dict[int, float] = {}
         self.rebuilds = 0
         self.attributed_crashes = 0
@@ -231,14 +198,6 @@ class ChunkSupervisor:
         self.merge_retries += 1
         if _metrics.COUNTING:
             _metrics.REGISTRY.counter("supervisor.merge_retries").inc()
-
-    def holds_fresh_chunks(self,
-                           in_flight: "Iterable[tuple[int, ...]]") -> bool:
-        """Whether fresh chunks must wait: a chunk a failure named (or
-        one of its halves) is in flight.  Its rerun may crash the pool
-        again, and a crash kills every chunk beside it, so only requeued
-        chunks keep it company until it completes or crashes."""
-        return any(tuple(ranks) in self._named for ranks in in_flight)
 
     # -- watchdog -----------------------------------------------------------
 
@@ -275,16 +234,16 @@ class ChunkSupervisor:
                       cause: str,
                       named: "Mapping[int, tuple[int, ...]] | None" = None,
                       ) -> RecoveryPlan:
-        """One pool crash: spend a rebuild, plan requeues and quarantines.
+        """One worker crash: spend a rebuild, plan requeues and
+        quarantines.
 
-        ``lost`` is every chunk (as its rank tuple) that was in flight.
+        ``lost`` is every chunk (as its rank tuple) the crash lost: the
+        dead worker's own chunk, or nothing when it died between chunks.
         ``named`` (chunk index → ranks) says which of them caused the
-        crash: the chunks a dead worker's breadcrumb names
-        (:func:`attribute_crash`), or the chunks the watchdog found hung
-        (``cause="hang"``).  Only the named chunks take a strike; the
-        other lost chunks requeue strike-free, and a crash that names
-        nothing strikes nobody.  Raises :class:`PoolCrashError` when the
-        budget is spent.
+        crash: the chunk a dead worker's sentinel names, or the chunk the
+        watchdog found hung (``cause="hang"``).  Only the named chunks
+        take a strike; a lost chunk nobody named requeues strike-free.
+        Raises :class:`PoolCrashError` when the budget is spent.
         """
         named = dict(named or {})
         self.rebuilds += 1
@@ -306,7 +265,7 @@ class ChunkSupervisor:
         if cause == "hang":
             attribution = "watchdog"
         elif named:
-            attribution = "breadcrumb"
+            attribution = "sentinel"
             self.attributed_crashes += 1
         else:
             attribution = "none"
@@ -338,10 +297,6 @@ class ChunkSupervisor:
         named_set = {tuple(ranks) for ranks in named}
         requeue: list[tuple[int, ...]] = []
         quarantine: list[tuple[int, str]] = []
-        # Named chunks (and their halves) rerun ahead of the bystanders,
-        # so a poison rank's crashes follow each other closely instead of
-        # killing bystanders that had time to grow.
-        first: list[tuple[int, ...]] = []
         for ranks in lost:
             ranks = tuple(ranks)
             if ranks not in named_set:
@@ -350,7 +305,7 @@ class ChunkSupervisor:
             strikes = self._strikes.pop(ranks, 0) + 1
             if strikes < self.config.suspect_strikes:
                 self._strikes[ranks] = strikes
-                first.append(ranks)
+                requeue.append(ranks)
             elif len(ranks) > 1:
                 # Bisect, halving the suspect span per failure; the next
                 # failure names the guilty half again.
@@ -360,7 +315,7 @@ class ChunkSupervisor:
                     _metrics.REGISTRY.counter("supervisor.bisections").inc()
                 for half in (ranks[:mid], ranks[mid:]):
                     self._strikes[half] = strikes
-                    first.append(half)
+                    requeue.append(half)
             else:
                 detail = (f"{cause} named by {by} ({strikes} strike(s)) "
                           f"at rank {ranks[0]}")
@@ -369,8 +324,6 @@ class ChunkSupervisor:
                 if _metrics.COUNTING:
                     _metrics.REGISTRY.counter(
                         "supervisor.poison_quarantined").inc()
-        requeue[:0] = first
-        self._named.update(first)
         self.requeued_chunks += len(requeue)
         requeued_ranks = sum(len(ranks) for ranks in requeue)
         self.requeued_ranks += requeued_ranks

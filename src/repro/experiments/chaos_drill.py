@@ -19,9 +19,10 @@ injection plan, and the disabled-supervision overhead estimate must stay
 under :data:`OVERHEAD_BOUND` (the supervised dispatch loop only adds
 ``is None`` branches and one empty-requeue check to the unsupervised
 path, measured the same way the observability bench prices disabled
-hooks).  Every strike comes from a name — a dead worker's breadcrumb or
-the watchdog's hung chunk — so the poison rank is bisected down and
-quarantined while bystanders requeue strike-free.
+hooks).  Every strike comes from a name — the chunk a dead worker held,
+or the watchdog's hung chunk — and a crash loses only that chunk, so the
+poison rank is bisected down and quarantined while the other workers
+keep crawling.
 
 ``benchmarks/bench_perf_chaos.py`` runs this at ``REPRO_CHAOS_SITES``
 scale and writes ``BENCH_chaos.json`` plus the quarantine report CI
@@ -62,11 +63,11 @@ def rebuild_budget(*, kills: int, hangs: int, poisons: int,
                    max_chunk_size: int) -> int:
     """A rebuild budget with headroom for the injection plan.
 
-    Each kill/hang costs one rebuild.  Each poison rank costs its
-    strike crashes and one crash per bisection level (``log2`` of the
-    largest chunk it can hide in), since a breadcrumb names its chunk
-    each time; the rest is headroom for crashes that name nothing, which
-    requeue without a strike.
+    Each rebuild is one worker respawn.  Each kill/hang costs one.  Each
+    poison rank costs its strike crashes and one crash per bisection
+    level (``log2`` of the largest chunk it can hide in), since the dead
+    worker's sentinel names its chunk each time; the rest is headroom
+    for workers that die between chunks, which requeue nothing.
     """
     per_poison = 2 + 1 + math.ceil(math.log2(max(2, max_chunk_size))) + 2
     return kills + hangs + poisons * per_poison + 4
@@ -77,22 +78,21 @@ def supervision_off_cost(iterations: int = 200_000) -> float:
 
     With ``supervisor=None`` the dispatch loop differs from the
     pre-supervision backend only by a handful of ``is None`` and
-    empty-deque branches per chunk (the jobs map, strike bookkeeping and
-    watchdog timeout are all skipped).  Timing those branches directly
+    empty-deque branches per chunk (strike bookkeeping and the watchdog
+    are skipped).  Timing those branches directly
     beats an A/B wall-clock race, which at real crawl scale is noise-
     dominated (same reasoning as the observability bench's disabled-hook
     pricing).
     """
     sup = None
     chaos = None
-    breadcrumb_dir = None
     requeued: deque = deque()
     sink = 0
     start = time.perf_counter()
     for _ in range(iterations):
         # The per-chunk branch census of the unsupervised dispatch path:
-        # top-up (requeued), submit, result handling, merge attempts,
-        # worker-side breadcrumb and chaos hook.
+        # top-up (requeued), submit, result handling, merge attempts and
+        # the worker-side chaos hook.
         if requeued:
             sink += 1
         if sup is not None:
@@ -102,8 +102,6 @@ def supervision_off_cost(iterations: int = 200_000) -> float:
         if sup is not None:
             sink += 1
         if sup is not None:
-            sink += 1
-        if breadcrumb_dir is not None:
             sink += 1
         if chaos is not None:
             sink += 1

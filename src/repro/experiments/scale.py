@@ -84,24 +84,6 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _shutdown_pool() -> None:
-    """Tear the warm worker pool down and wait until its workers exit.
-
-    A phase runs in a ``multiprocessing`` child, and that child's exit
-    skips the interpreter shutdown step that normally joins executor
-    threads.  After :func:`~repro.crawler.backends.shutdown_warm_pool`
-    alone (which does not wait) the exit races the executor's own
-    teardown: on a lost race the workers never receive their stop
-    sentinel and the child waits on them forever.
-    """
-    from repro.crawler import backends
-
-    executor = backends._WARM_EXECUTOR
-    if executor is not None:
-        executor.shutdown(wait=True)
-    backends.shutdown_warm_pool()
-
-
 # ---------------------------------------------------------------------------
 # Phase workers.  Module-level (picklable) and imported lazily inside, so a
 # spawn subprocess pays import cost *inside* its own RSS measurement and the
@@ -110,6 +92,7 @@ def _shutdown_pool() -> None:
 
 def _crawl_worker(params: dict) -> dict:
     """Store-backed crawl with ``collect=False``."""
+    from repro.crawler.backends import shutdown_warm_pool
     from repro.crawler.pool import CrawlerPool
     from repro.crawler.storage import CrawlStore
     from repro.obs import metrics as _metrics
@@ -148,7 +131,7 @@ def _crawl_worker(params: dict) -> dict:
     if pool.last_chunk_schedule is not None:
         result["chunk_schedule"] = pool.last_chunk_schedule
         result["run_stats"] = pool.last_run_stats
-    _shutdown_pool()
+    shutdown_warm_pool()
     return result
 
 
@@ -185,6 +168,7 @@ def _summarize_worker(params: dict) -> dict:
     """Streaming summarize straight off the store; ``summarize_workers``
     > 1 selects the process-parallel mode (warm worker pool)."""
     from repro.analysis.summary import summarize_streaming
+    from repro.crawler.backends import shutdown_warm_pool
     from repro.crawler.storage import CrawlStore
 
     workers = int(params.get("summarize_workers", 1))
@@ -193,7 +177,7 @@ def _summarize_worker(params: dict) -> dict:
         summary = summarize_streaming(store, workers=workers)
     seconds = time.perf_counter() - start
     if workers > 1:
-        _shutdown_pool()
+        shutdown_warm_pool()
     return {
         "seconds": round(seconds, 4),
         "workers": workers,

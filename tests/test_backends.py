@@ -2,7 +2,9 @@
 and the persistent measurement cache (PR: process backend + perf)."""
 
 import json
+import multiprocessing
 import pickle
+import time
 
 import pytest
 
@@ -15,7 +17,7 @@ from repro.crawler.backends import (
     _mp_context,
     chunk_ranks,
     shutdown_warm_pool,
-    warm_executor,
+    warm_pool,
 )
 from repro.crawler.pool import BACKENDS, CrawlDataset, CrawlerPool
 from repro.crawler.resilience import RetryPolicy
@@ -189,21 +191,23 @@ class TestWarmWorkers:
         assert set(second.last_run_stats["worker_pids"]) <= \
             set(first.last_run_stats["worker_pids"])
 
-    def test_executor_exposes_worker_processes_by_pid(self):
-        # Crash attribution and the watchdog's kill read the private
-        # ``ProcessPoolExecutor._processes`` map and find nothing without
-        # it; every crash would then name nothing.  Fail loudly instead.
+    def test_shutdown_stops_every_worker(self, web):
+        CrawlerPool(web, workers=2, backend="process").run(range(10))
+        workers = warm_pool(2, _mp_context().get_start_method()).workers
+        assert all(worker.process.is_alive() for worker in workers)
         shutdown_warm_pool()
-        try:
-            executor = warm_executor(2, _mp_context().get_start_method())
-            executor.submit(int).result()  # workers start on first submit
-            processes = executor._processes
-            assert isinstance(processes, dict) and processes
-            for pid, process in processes.items():
-                assert pid == process.pid
-                assert isinstance(process.sentinel, int)
-        finally:
-            shutdown_warm_pool()
+        assert multiprocessing.active_children() == []
+
+    def test_shutdown_kills_a_hung_worker(self):
+        # A busy worker (here: an hour-long sleep) is SIGKILLed instead of
+        # joined, so shutdown never waits on a chunk.
+        shutdown_warm_pool()
+        pool = warm_pool(2, _mp_context().get_start_method())
+        pool.submit(pool.workers[0], time.sleep, 3600)
+        started = time.monotonic()
+        shutdown_warm_pool()
+        assert time.monotonic() - started < 10
+        assert multiprocessing.active_children() == []
 
     def test_adaptive_schedule_recorded_and_covers_run(self, web):
         pool = CrawlerPool(web, workers=2, backend="process")

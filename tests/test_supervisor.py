@@ -17,7 +17,6 @@ Three layers, matching the module split:
 
 import glob
 import sqlite3
-import tempfile
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -33,7 +32,6 @@ from repro.crawler.supervisor import (
     PoolCrashError,
     RecoveryPlan,
     SupervisorConfig,
-    attribute_crash,
 )
 from repro.crawler.telemetry import CrawlTelemetry
 from repro.synthweb.generator import SyntheticWeb
@@ -114,7 +112,6 @@ class TestChunkSupervisor:
         assert [event["attribution"] for event in sup.events] == [
             "none"] * 3
         assert all(event["named_chunks"] == [] for event in sup.events)
-        assert not sup.holds_fresh_chunks(lost)
         # No strike was left behind: a first name is a first strike.
         plan = sup.on_pool_crash(lost, cause="worker-crash",
                                  named={0: (0, 1)})
@@ -147,16 +144,16 @@ class TestChunkSupervisor:
         plan = sup.on_pool_crash([(9,)], cause="worker-crash",
                                  named={0: (9,)})
         assert plan.quarantine[0][0] == 9
-        assert "breadcrumb" in plan.quarantine[0][1]
+        assert "sentinel" in plan.quarantine[0][1]
         assert sup.stats()["quarantined_ranks"] == [9]
 
     def test_watchdog_named_hang_bisects_then_quarantines(self):
         sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
         lost = [(0, 1), (2, 3)]
         plan = sup.on_pool_crash(lost, cause="hang", named={1: (2, 3)})
-        assert plan.requeue == ((2, 3), (0, 1))
+        assert plan.requeue == ((0, 1), (2, 3))
         plan = sup.on_pool_crash(lost, cause="hang", named={3: (2, 3)})
-        assert plan.requeue == ((2,), (3,), (0, 1))
+        assert plan.requeue == ((0, 1), (2,), (3,))
         assert sup.bisections == 1
         # The halves inherit the strikes: a hang in one quarantines it.
         plan = sup.on_pool_crash([(3,), (0, 1)], cause="hang",
@@ -246,7 +243,9 @@ class TestChunkSupervisor:
 
 
 class TestBreadcrumbAttribution:
-    """Exact attribution from crash breadcrumbs: pure, no processes."""
+    """Exact attribution by name (a dead worker's sentinel, the watchdog,
+    a failed merge): pure, no processes.  The backend loses at most one
+    chunk per crash; the planning rule also covers unnamed lost chunks."""
 
     def test_named_chunk_takes_the_strike_bystanders_none(self):
         sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
@@ -258,10 +257,10 @@ class TestBreadcrumbAttribution:
                                  named={6: (0, 1)})
         assert plan.requeue == ((0, 1), (2, 3), (4, 5))
         # The first named chunk, named again, is at the threshold; its
-        # halves rerun ahead of the bystanders.
+        # halves requeue in its place.
         plan = sup.on_pool_crash(lost, cause="worker-crash",
                                  named={7: (2, 3)})
-        assert plan.requeue == ((2,), (3,), (0, 1), (4, 5))
+        assert plan.requeue == ((0, 1), (2,), (3,), (4, 5))
         assert sup.bisections == 1
         assert sup.attributed_crashes == 3
 
@@ -269,12 +268,11 @@ class TestBreadcrumbAttribution:
         sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
         plan = sup.on_pool_crash([(0, 1, 2), (3, 4)], cause="worker-crash",
                                  named={3: (3, 4)})
-        # The named chunk reruns first, so a repeat crash comes before
-        # the bystanders have done much work it would destroy.
-        assert plan == RecoveryPlan(requeue=((3, 4), (0, 1, 2)),
+        # One strike is below the threshold: everything just requeues.
+        assert plan == RecoveryPlan(requeue=((0, 1, 2), (3, 4)),
                                     quarantine=())
         event = sup.events[-1]
-        assert event["attribution"] == "breadcrumb"
+        assert event["attribution"] == "sentinel"
         assert event["named_chunks"] == [3]
 
     def test_named_chunk_at_threshold_bisects_into_requeue(self):
@@ -303,48 +301,10 @@ class TestBreadcrumbAttribution:
         plan = sup.on_pool_crash([(9,), (10, 11)], cause="worker-crash",
                                  named={3: (9,)})
         assert [rank for rank, _ in plan.quarantine] == [9]
-        assert "breadcrumb" in plan.quarantine[0][1]
+        assert "sentinel" in plan.quarantine[0][1]
         assert plan.requeue == ((10, 11),)
         assert sup.stats()["quarantined_ranks"] == [9]
         assert sup.events[-1]["quarantined"] == [9]
-
-    def test_attribution_ignores_empty_and_foreign_breadcrumbs(self):
-        lost = {4: (40, 41), 5: (50,)}
-        # An exited worker with an empty breadcrumb (it died between
-        # chunks) or one naming a chunk that is not lost names nothing.
-        assert attribute_crash([None], lost) == {}
-        assert attribute_crash([3, 9], lost) == {}
-        assert attribute_crash([], lost) == {}
-        assert attribute_crash([None, 5, 3], lost) == {5: (50,)}
-        assert attribute_crash([5, 4, 5], lost) == {4: (40, 41),
-                                                    5: (50,)}
-
-    def test_fresh_chunks_wait_while_a_named_chunk_is_in_flight(self):
-        sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
-        sup.on_pool_crash([(0, 1), (2, 3)], cause="worker-crash",
-                          named={1: (2, 3)})
-        assert sup.holds_fresh_chunks([(0, 1), (2, 3)])
-        # A bystander in flight holds nothing back.
-        assert not sup.holds_fresh_chunks([(0, 1), (4, 5)])
-        assert not sup.holds_fresh_chunks([])
-        # Nor do the halves stop being suspects once bisected.
-        sup.on_pool_crash([(2, 3)], cause="worker-crash", named={2: (2, 3)})
-        assert sup.holds_fresh_chunks([(3,)])
-        # A crash that names nothing holds nothing back.
-        other = ChunkSupervisor(SupervisorConfig())
-        other.on_pool_crash([(0, 1)], cause="worker-crash")
-        assert not other.holds_fresh_chunks([(0, 1)])
-
-    def test_hung_and_merge_failed_chunks_hold_fresh_chunks(self):
-        # The watchdog and a failed merge name their chunk just as a
-        # breadcrumb does, so its rerun keeps fresh work waiting.
-        sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=2))
-        sup.on_pool_crash([(0, 1), (2, 3)], cause="hang",
-                          named={1: (2, 3)})
-        assert sup.holds_fresh_chunks([(2, 3)])
-        assert not sup.holds_fresh_chunks([(0, 1)])
-        sup.on_merge_failure((4, 5), detail="disk flake")
-        assert sup.holds_fresh_chunks([(0, 1), (4, 5)])
 
     def test_hang_events_are_attributed_by_the_watchdog(self):
         sup = ChunkSupervisor(SupervisorConfig())
@@ -363,8 +323,8 @@ class TestChaosPolicy:
         two = ChaosPolicy.plan(1000, **kwargs)
         assert one == two
         # Crash injections land in the first half of the rank space,
-        # hangs in the last quarter: the crash storm resolves before any
-        # hang chunk flies, so watchdog_hangs is deterministic.
+        # hangs in the last quarter: the drill's crash storm and its hang
+        # come one after the other.
         crashes = one.kill_ranks + one.poison_ranks + one.merge_error_ranks
         assert all(rank < 500 for rank in crashes)
         assert all(rank >= 750 for rank in one.hang_ranks)
@@ -449,8 +409,8 @@ class TestSupervisedCrawls:
                                telemetry=telemetry)
             rows = store.quarantine_rows()
             stored = store.stored_ranks()
-        # Exactly the poison rank is missing — every innocent bystander
-        # chunk that shared a doomed pool requeued strike-free.
+        # Exactly the poison rank is missing — a crash loses only the
+        # dead worker's own chunk, so nothing innocent takes a strike.
         expected = [v for v in baseline.visits if v.rank != poison]
         assert dataset.visits == expected
         assert stored == set(range(40)) - {poison}
@@ -464,7 +424,8 @@ class TestSupervisedCrawls:
 
     def test_breadcrumbs_attribute_every_poison_crash(self, web, baseline,
                                                       tmp_path):
-        # Each crash is named by the dead worker's breadcrumb.
+        # Each crash is named by the dead worker's sentinel, and loses
+        # that worker's chunk alone.
         poison = 11
         with CrawlStore(tmp_path / "crumbs.sqlite") as store:
             pool = CrawlerPool(web, workers=2, backend="process")
@@ -477,41 +438,85 @@ class TestSupervisedCrawls:
         assert stats["quarantined_ranks"] == [poison]
         rebuilds = [e for e in stats["events"]
                     if e["event"] == "pool-rebuild"]
-        assert rebuilds and all(e["attribution"] == "breadcrumb"
-                                and e["named_chunks"] for e in rebuilds)
+        assert rebuilds and all(e["attribution"] == "sentinel"
+                                and len(e["named_chunks"]) == 1
+                                and e["chunks_lost"] == 1 for e in rebuilds)
         assert stats["attributed_crashes"] == stats["rebuilds"]
 
-    def test_unnamed_crashes_never_strike(self, web, baseline, tmp_path,
-                                          monkeypatch):
-        # A reader that finds no breadcrumb names nothing: every lost
-        # chunk requeues strike-free.
-        monkeypatch.setattr(backends, "_crashed_worker_breadcrumbs",
-                            lambda executor, directory: [])
-        # A once-only kill still recovers byte-identically.
+    def test_unnamed_crashes_never_strike(self, web, baseline, tmp_path):
+        # A worker killed between chunks held nothing: its respawn spends
+        # a rebuild but requeues and strikes nothing.
+        backends.shutdown_warm_pool()
+        CrawlerPool(web, workers=2, backend="process").run(range(4))
+        victim, survivor = backends._WARM_POOL.workers
+        victim.process.kill()
+        victim.process.join()
+        pool = CrawlerPool(web, workers=2, backend="process")
+        dataset = pool.run(supervisor=fast_config())
+        assert dataset.visits == baseline.visits
+        stats = pool.last_supervisor_stats
+        assert stats["rebuilds"] == 1
+        assert stats["events"] == [{
+            "event": "pool-rebuild", "cause": "worker-crash", "rebuild": 1,
+            "attribution": "none", "named_chunks": [], "chunks_lost": 0,
+            "ranks_requeued": 0, "quarantined": []}]
+        assert stats["requeued_ranks"] == 0
+        assert stats["attributed_crashes"] == 0
+        assert stats["bisections"] == 0
+        assert stats["quarantined_ranks"] == []
+        pids = {worker.process.pid for worker in backends._WARM_POOL.workers}
+        assert survivor.process.pid in pids
+        assert victim.process.pid not in pids
+
+    def test_a_kill_requeues_only_the_killed_chunk(self, web, baseline,
+                                                   tmp_path):
+        # Rank 5 sits in the second 4-rank chunk (index 1, ranks 4-7);
+        # the kill loses that chunk alone while the other worker crawls.
         chaos = ChaosPolicy(kill_ranks=(5,),
                             state_dir=str(tmp_path / "state"))
-        pool = CrawlerPool(web, workers=2, backend="process")
+        pool = CrawlerPool(web, workers=2, backend="process",
+                           chunk_schedule=[4])
         dataset = pool.run(chaos=chaos, supervisor=fast_config())
         assert dataset.visits == baseline.visits
         stats = pool.last_supervisor_stats
-        rebuilds = [e for e in stats["events"]
-                    if e["event"] == "pool-rebuild"]
-        assert rebuilds and all(e["attribution"] == "none"
-                                and e["named_chunks"] == []
-                                for e in rebuilds)
+        assert stats["rebuilds"] == 1
+        assert stats["requeued_ranks"] == 4
+        assert stats["attributed_crashes"] == 1
+        assert stats["events"] == [{
+            "event": "pool-rebuild", "cause": "worker-crash", "rebuild": 1,
+            "attribution": "sentinel", "named_chunks": [1],
+            "chunks_lost": 1, "ranks_requeued": 4, "quarantined": []}]
+
+    def test_hang_kills_only_the_hung_worker(self, web, baseline,
+                                             tmp_path):
+        # The watchdog SIGKILLs the worker sleeping in chunk 0 (ranks
+        # 0-3); the other worker keeps its pid and loses no chunk.
+        backends.shutdown_warm_pool()
+        chaos = ChaosPolicy(hang_ranks=(3,), hang_seconds=600.0,
+                            state_dir=str(tmp_path / "state"))
+        pool = CrawlerPool(web, workers=2, backend="process",
+                           chunk_schedule=[4])
+        start_pids = []
+
+        def note_pids(done: int, total: int) -> None:
+            if not start_pids:
+                start_pids.extend(worker.process.pid
+                                  for worker in backends._WARM_POOL.workers)
+
+        dataset = pool.run(chaos=chaos, supervisor=fast_config(),
+                           progress=note_pids)
+        assert dataset.visits == baseline.visits
+        end_pids = [worker.process.pid
+                    for worker in backends._WARM_POOL.workers]
+        assert len(set(start_pids) & set(end_pids)) == 1
+        stats = pool.last_supervisor_stats
+        assert stats["watchdog_hangs"] == stats["rebuilds"] == 1
+        assert stats["requeued_ranks"] == 4
         assert stats["bisections"] == 0
-        assert stats["quarantined_ranks"] == []
-        # A poison rank nothing names is never isolated: it ends the run
-        # once the budget is spent, not earlier.
-        config = fast_config(max_pool_rebuilds=3)
-        pool = CrawlerPool(web, workers=2, backend="process")
-        with pytest.raises(PoolCrashError) as exc_info:
-            pool.run(chaos=ChaosPolicy(poison_ranks=(11,)),
-                     supervisor=config)
-        err = exc_info.value
-        assert err.rebuilds == config.max_pool_rebuilds + 1
-        assert 11 in err.lost_ranks
-        assert pool.last_supervisor_stats["bisections"] == 0
+        assert stats["events"] == [{
+            "event": "pool-rebuild", "cause": "hang", "rebuild": 1,
+            "attribution": "watchdog", "named_chunks": [0],
+            "chunks_lost": 1, "ranks_requeued": 4, "quarantined": []}]
 
     def test_hang_is_caught_by_the_watchdog(self, web, baseline,
                                             tmp_path):
@@ -532,11 +537,9 @@ class TestSupervisedCrawls:
 
     def test_hang_after_a_poison_storm_is_caught_by_the_watchdog(
             self, web, baseline, tmp_path):
-        # Fresh chunks wait while a named chunk reruns, so the hang's
-        # chunk starts only after the poison rank's crash storm: no crash
-        # recovery kills it before the watchdog's deadline does.  A fixed
-        # schedule of 4-rank chunks keeps the hang's chunk (the seventh)
-        # out of flight when the first crash comes.
+        # A crash loses only its own worker's chunk, so however the
+        # poison rank's crash storm and the hang's chunk overlap, only
+        # the watchdog's deadline ends the hang.
         chaos = ChaosPolicy(poison_ranks=(1,), hang_ranks=(25,),
                             hang_seconds=600.0,
                             state_dir=str(tmp_path / "state"))
@@ -611,31 +614,6 @@ class TestSupervisedCrawls:
             resumed = CrawlerPool(web, workers=2, backend="process").run(
                 store=store, resume=True)
         assert resumed.visits == baseline.visits
-
-    def test_no_breadcrumb_directory_is_left_behind(self, web, tmp_path,
-                                                    monkeypatch):
-        temp = tmp_path / "tmp"
-        temp.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(temp))
-        # A clean supervised run.
-        pool = CrawlerPool(web, workers=2, backend="process")
-        pool.run(supervisor=fast_config())
-        assert list(temp.iterdir()) == []
-        # A crash that spends the whole (zero) rebuild budget.
-        with pytest.raises(PoolCrashError):
-            CrawlerPool(web, workers=2, backend="process").run(
-                chaos=ChaosPolicy(poison_ranks=(3,)),
-                supervisor=fast_config(max_pool_rebuilds=0))
-        assert list(temp.iterdir()) == []
-        # A stop request part-way through.
-        pool = CrawlerPool(web, workers=2, backend="process")
-
-        def stop_early(done: int, total: int) -> None:
-            pool.request_stop()
-
-        dataset = pool.run(progress=stop_early, supervisor=fast_config())
-        assert len(dataset.visits) < 40
-        assert list(temp.iterdir()) == []
 
     def test_unsupervised_crash_leaves_no_late_sidecar(self, web,
                                                        tmp_path):
