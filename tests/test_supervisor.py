@@ -450,7 +450,8 @@ class TestSupervisedCrawls:
         CrawlerPool(web, workers=2, backend="process").run(range(4))
         victim, survivor = backends._WARM_POOL.workers
         victim.process.kill()
-        victim.process.join()
+        victim.process.join(timeout=10)
+        assert not victim.process.is_alive()
         pool = CrawlerPool(web, workers=2, backend="process")
         dataset = pool.run(supervisor=fast_config())
         assert dataset.visits == baseline.visits
