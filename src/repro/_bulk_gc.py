@@ -24,8 +24,7 @@ GC thresholds are process-wide state, so the scope is shared:
   may suspend the generator for as long as it likes, or never resume it.
   Scope the work between yields instead.
 
-The crawl path is deliberately left out: it creates real cyclic garbage
-(see DESIGN.md, "Bulk-read GC scoping").
+The crawl path is not scoped (see DESIGN.md, "Bulk-read GC scoping").
 """
 
 from __future__ import annotations

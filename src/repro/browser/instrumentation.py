@@ -64,6 +64,10 @@ class WebAPIRuntime:
     Each endpoint is a Python callable mimicking the browser's behaviour at
     the granularity the measurement needs: policy evaluation (is the feature
     enabled in this frame?), and a structured return value.
+
+    Endpoint closures capture what they use, never the runtime itself:
+    the runtime stores them, so a closure over ``self`` would make every
+    document's runtime cyclic garbage that only the cyclic GC frees.
     """
 
     def __init__(self, frame: PolicyFrame, *,
@@ -76,7 +80,9 @@ class WebAPIRuntime:
         self.store = store if store is not None else PermissionStore(
             registry=surface.registry)
         self._top_site = frame.root.effective_policy_origin().site
-        self._allowed_features_cache: tuple[str, ...] | None = None
+        # The frame's allowed features, computed on first use: a one-slot
+        # list the endpoint closures share.
+        self._allowed_features: list[tuple[str, ...]] = []
         # Endpoints are materialised lazily: a typical page calls a handful
         # of the ~70 declared APIs, so building every closure up front
         # dominated per-document setup time.  ``_functions`` holds only
@@ -85,28 +91,26 @@ class WebAPIRuntime:
         self._wrap: Callable[[ApiSpec, Callable[..., Any]],
                              Callable[..., Any] | None] | None = None
 
-    def _allowed_features(self) -> tuple[str, ...]:
-        if self._allowed_features_cache is None:
-            self._allowed_features_cache = self.engine.allowed_features(
-                self.frame)
-        return self._allowed_features_cache
-
     def _make_original(self, spec: ApiSpec) -> Callable[..., Any]:
+        frame, engine, store = self.frame, self.engine, self.store
+        top_site, features = self._top_site, self._allowed_features
+
         def original(*args: str) -> dict[str, Any]:
             permissions = spec.permissions_for(tuple(args))
             if spec.kind is ApiKind.GENERAL:
                 allowed = True
-                result: Any = self._allowed_features()
+                if not features:
+                    features.append(engine.allowed_features(frame))
+                result: Any = features[0]
             else:
-                allowed = all(self.engine.is_enabled(p, self.frame)
+                allowed = all(engine.is_enabled(p, frame)
                               for p in permissions) if permissions else True
                 if not allowed:
                     result = PermissionState.DENIED.value
                 elif spec.kind is ApiKind.STATUS_CHECK and permissions:
                     # navigator.permissions.query resolves with the
                     # remembered state (granted/denied/prompt).
-                    result = self.store.state(self._top_site,
-                                              permissions[0]).value
+                    result = store.state(top_site, permissions[0]).value
                 else:
                     result = "granted-path"
             return {"api": spec.name, "allowed": allowed, "result": result}
@@ -158,7 +162,8 @@ class InstrumentedRuntime:
 
     Mirrors Figure 1: the wrapper saves (params, stacktrace) and then calls
     the saved original so behaviour is unchanged.  Records accumulate in
-    :attr:`records`.
+    :attr:`records`.  As in :class:`WebAPIRuntime`, the wrappers capture
+    the records list, the script stack and the frame id, not ``self``.
     """
 
     def __init__(self, runtime: WebAPIRuntime, *, frame_id: int = 0) -> None:
@@ -175,35 +180,38 @@ class InstrumentedRuntime:
         not instrumented keep working but leave no record — exactly the
         paper's blind spot for autoplay, fullscreen, the ads APIs, etc."""
         observable = self.runtime.surface.observable_endpoints()
+        make_wrapper = self._make_wrapper  # a staticmethod: binds no self
+        records, stack, frame_id = (self.records, self._script_stack,
+                                    self.frame_id)
 
         def wrap(spec: ApiSpec,
                  original: Callable[..., Any]) -> Callable[..., Any] | None:
             if spec.name not in observable:
                 return None
-            return self._make_wrapper(spec, original)
+            return make_wrapper(spec, original, records, stack, frame_id)
 
         self.runtime.install_wrapper(wrap)
 
-    def _make_wrapper(self, spec: ApiSpec,
-                      original: Callable[..., Any]) -> Callable[..., Any]:
+    @staticmethod
+    def _make_wrapper(spec: ApiSpec, original: Callable[..., Any],
+                      records: list[InvocationRecord], stack: list[Script],
+                      frame_id: int) -> Callable[..., Any]:
         def wrapper(*args: str) -> Any:
             outcome = original(*args)
-            self.records.append(InvocationRecord(
+            records.append(InvocationRecord(
                 api=spec.name,
                 kind=spec.kind,
                 permissions=spec.permissions_for(tuple(args)),
                 args=tuple(args),
-                stacktrace=self._capture_stack(),
-                frame_id=self.frame_id,
+                # ``new Error().stack`` equivalent: script URLs
+                # innermost-last; inline/dynamic scripts contribute an
+                # empty entry.
+                stacktrace=tuple((script.url or "") for script in stack),
+                frame_id=frame_id,
                 allowed=bool(outcome.get("allowed", True)),
             ))
             return outcome
         return wrapper
-
-    def _capture_stack(self) -> tuple[str, ...]:
-        """``new Error().stack`` equivalent: script URLs innermost-last;
-        inline/dynamic scripts contribute an empty entry."""
-        return tuple((script.url or "") for script in self._script_stack)
 
     # -- script execution --------------------------------------------------------
 

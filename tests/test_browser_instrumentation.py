@@ -117,3 +117,61 @@ class TestInteractionGating:
         script = Script(url=None, source="",
                         operations=(ApiCall("not.a.real.api"),))
         assert runtime.execute(script) == 0
+
+
+class TestRuntimeLifetime:
+    def test_runtimes_are_freed_by_reference_counting(self, monkeypatch):
+        """No endpoint or wrapper closure holds its runtime, so each
+        document's WebAPIRuntime / InstrumentedRuntime pair dies when the
+        page loader is done with it — no cyclic GC needed."""
+        import gc
+        import weakref
+
+        from repro.browser import page as page_module
+        from repro.browser.dom import DocumentContent
+        from repro.browser.page import FetchFailure, FetchResponse, PageLoader
+
+        refs = []
+
+        class TrackedRuntime(WebAPIRuntime):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        class TrackedInstrumented(InstrumentedRuntime):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(page_module, "WebAPIRuntime", TrackedRuntime)
+        monkeypatch.setattr(page_module, "InstrumentedRuntime",
+                            TrackedInstrumented)
+        # Every kind of endpoint: general, status check, powerful (both
+        # allowed and blocked by the header) and one left uninstrumented.
+        script = Script(url="https://a.com/app.js", source="", operations=(
+            ApiCall("document.featurePolicy.allowedFeatures"),
+            ApiCall("navigator.permissions.query", ("camera",)),
+            ApiCall("navigator.mediaDevices.getUserMedia", ("camera",)),
+            ApiCall("navigator.getBattery"),
+            ApiCall("HTMLMediaElement.play"),
+        ))
+        response = FetchResponse(
+            url="https://a.com", status=200,
+            headers={"Permissions-Policy": "camera=()"},
+            content=DocumentContent(scripts=[script]))
+
+        class OnePage:
+            def fetch(self, url):
+                if url != response.url:
+                    raise FetchFailure(url)
+                return response
+
+        loader = PageLoader(OnePage())
+        gc.disable()
+        try:
+            page = loader.load("https://a.com")
+            assert len(page.invocations) == 4
+            assert len(refs) == 2
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
