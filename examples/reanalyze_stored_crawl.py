@@ -3,9 +3,9 @@
 
 The paper stores every visit in a database the moment it completes
 (Appendix A.2 C14) and runs all analyses offline.  This example shows the
-same workflow: crawl → SQLite → (later) reload and analyse, plus the
-SQL-side aggregates that answer headline questions without loading a row
-of Python objects.
+same workflow: crawl → SQLite → (later) analyse, first with one
+bounded-memory streaming pass for the headline numbers, then with a full
+reload for the heavyweight analyses.
 
 Run with:  python examples/reanalyze_stored_crawl.py [site_count]
 """
@@ -16,6 +16,7 @@ from pathlib import Path
 
 from repro import CrawlStore, CrawlerPool, SyntheticWeb
 from repro.analysis.delegation import DelegationAnalysis
+from repro.analysis.summary import summarize_streaming
 from repro.analysis.violations import ViolationAnalysis
 
 
@@ -32,16 +33,18 @@ def main() -> None:
     size_kb = database.stat().st_size // 1024
     print(f"  stored {dataset.attempted:,} visits ({size_kb:,} KiB)")
 
-    # ---- phase 2: cheap SQL-side questions --------------------------------------
-    print("\nSQL-side aggregates (no Python object loading):")
+    # ---- phase 2: one streaming pass for the headline numbers ------------------
+    print("\nStreaming summary (one visit resident at a time):")
     with CrawlStore(database) as store:
         print(f"  successful visits:        {store.count_successful():,}")
         print(f"  failure taxonomy:         {store.failure_counts()}")
-        print(f"  sites sending the header: {store.count_header_sites():,}")
-        print(f"  sites with allow attrs:   {store.count_delegating_sites():,}")
-        print("  top embedded sites:")
-        for site, count in store.top_embedded_sites(5):
-            print(f"    {site:30s} {count:6,}")
+        summary = summarize_streaming(store)
+    print(f"  Permissions-Policy (top): {summary.pp_header_top_level_share:.2%}")
+    print(f"  Permissions-Policy (all): {summary.pp_header_all_docs_share:.2%}")
+    print(f"  Feature-Policy (all):     {summary.fp_header_all_docs_share:.2%}")
+    print(f"  sites delegating:         {summary.share_sites_delegating:.2%}")
+    print(f"  ... to external iframes:  "
+          f"{summary.share_sites_delegating_external:.2%}")
 
     # ---- phase 3: full reload for the heavyweight analyses ----------------------
     print("\nReloading for the full analyses ...")
@@ -50,6 +53,9 @@ def main() -> None:
     delegation = DelegationAnalysis(reloaded.successful())
     print(f"  delegating sites (exact):   {delegation.sites_delegating:,} "
           f"({delegation.share_sites_delegating:.2%} of top docs)")
+    print("  top embedded sites (Table 3):")
+    for row in delegation.embedded_site_ranking(5):
+        print(f"    {row.site:30s} {row.websites:6,}")
     violations = ViolationAnalysis(reloaded.successful())
     print(f"  sites with blocked calls:   "
           f"{violations.report.sites_with_blocked_calls:,}")

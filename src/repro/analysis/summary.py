@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -125,47 +124,33 @@ def summarize(dataset: CrawlDataset, *, parallel: bool = False,
     aggregates.
 
     The visits are indexed once (:class:`~repro.analysis.index.DatasetIndex`)
-    and the four analyses share that index.  They are independent of each
-    other, so with ``parallel=True`` they run on a small thread pool — the
-    index is read-only at that point, making the fan-out race-free.  The
-    default is serial: under the GIL the pool measured no faster (0.139 s
-    against 0.107 s at 2500 sites on 2 CPUs).  Pass a
-    prebuilt ``index`` to reuse one across calls (as
-    :class:`~repro.experiments.runner.ExperimentContext` does).  Serial and
-    parallel runs produce field-identical summaries.  The index build and
-    the analyses run under scoped GC thresholds
+    and the four analyses run serially over that index.  Pass a prebuilt
+    ``index`` to reuse one across calls (as
+    :class:`~repro.experiments.runner.ExperimentContext` does).  The index
+    build and the analyses run under scoped GC thresholds
     (:func:`repro._bulk_gc.bulk_gc`).
+
+    ``parallel`` must be ``False``: a thread-pool fan-out measured slower
+    than serial under the GIL.  The keyword stays only because the
+    benchmark workloads still pass it (ROADMAP item 5).
     """
+    if parallel:
+        raise ValueError(
+            "summarize(parallel=True) is not supported: the thread pool "
+            "measured slower than serial (ROADMAP item 5 drops the keyword)")
+
     def build(name: str, analysis_cls):
-        # Thread-pool futures run on worker threads, so each span becomes
-        # its own root labelled by the analysis it timed.
         with TRACER.span(f"analysis.{name}"):
             return analysis_cls(index)
 
     with bulk_gc():
         if index is None:
             index = DatasetIndex(dataset)
-        with TRACER.span("analysis.summarize", parallel=parallel,
-                         visits=index.website_count):
-            if parallel:
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    usage_future = pool.submit(build, "usage", UsageAnalysis)
-                    delegation_future = pool.submit(build, "delegation",
-                                                    DelegationAnalysis)
-                    headers_future = pool.submit(build, "headers",
-                                                 HeaderAnalysis)
-                    overpermission_future = pool.submit(
-                        build, "overpermission", OverPermissionAnalysis)
-                    usage = usage_future.result()
-                    delegation = delegation_future.result()
-                    headers = headers_future.result()
-                    overpermission = overpermission_future.result()
-            else:
-                usage = build("usage", UsageAnalysis)
-                delegation = build("delegation", DelegationAnalysis)
-                headers = build("headers", HeaderAnalysis)
-                overpermission = build("overpermission",
-                                       OverPermissionAnalysis)
+        with TRACER.span("analysis.summarize", visits=index.website_count):
+            usage = build("usage", UsageAnalysis)
+            delegation = build("delegation", DelegationAnalysis)
+            headers = build("headers", HeaderAnalysis)
+            overpermission = build("overpermission", OverPermissionAnalysis)
     return _finish_summary(
         dict(attempted_sites=dataset.attempted,
              successful_sites=dataset.successful_count,

@@ -33,6 +33,7 @@ import json
 import logging
 import os
 import sqlite3
+import sys
 import threading
 import time
 import zlib
@@ -590,44 +591,21 @@ class CrawlStore:
     def load_dataset(self) -> CrawlDataset:
         """Load everything back into dataset form.
 
-        Child rows whose rank has no ``visits`` row (a partially written or
-        corrupt checkpoint) are skipped and counted in
-        :attr:`last_orphan_counts` with a logged warning, so resuming from
-        an interrupted save never crashes.  Rows that fail to *decode*
-        (bit-flipped JSON, truncated values) are likewise skipped and
-        counted in :attr:`last_corrupt_counts` — run
+        This is :meth:`iter_visits` drained in one unbounded batch: one
+        visits query and one range read per child table, under one lock
+        and one scoped-GC window.  Child rows whose rank has no ``visits``
+        row (a partially written or corrupt checkpoint) are skipped and
+        counted in :attr:`last_orphan_counts` with a logged warning, so
+        resuming from an interrupted save never crashes.  Rows that fail
+        to *decode* (bit-flipped JSON, truncated values) are likewise
+        skipped and counted in :attr:`last_corrupt_counts` — run
         ``repro verify-store --repair`` to quarantine them properly.
-        Runs under scoped GC thresholds (:func:`repro._bulk_gc.bulk_gc`).
         """
-        dataset = CrawlDataset()
-        orphans: Counter = Counter()
-        corrupt: Counter = Counter()
-        with self._lock, bulk_gc():
-            conn = self._conn
-            for row in conn.execute(
-                    f"SELECT {_VISIT_COLUMNS} FROM visits ORDER BY rank"):
-                try:
-                    dataset.visits.append(_visit_from_row(row))
-                except Exception:
-                    corrupt["visits"] += 1
-            by_rank = {visit.rank: visit for visit in dataset.visits}
-            self._attach_children(by_rank, orphans, corrupt)
-        self.last_orphan_counts = dict(orphans)
-        self.last_corrupt_counts = dict(corrupt)
+        dataset = CrawlDataset(
+            visits=list(self.iter_visits(batch_size=sys.maxsize)))
         if _metrics.COUNTING:
-            registry = _metrics.REGISTRY
-            registry.counter("store.visits_loaded").inc(len(dataset.visits))
-            registry.gauge("store.orphan_rows").set(sum(orphans.values()))
-            if corrupt:
-                registry.counter("store.corrupt_rows").inc(
-                    sum(corrupt.values()))
-        if orphans:
-            detail = ", ".join(f"{table}={count}" for table, count
-                               in sorted(orphans.items()))
-            logger.warning(
-                "skipped orphan rows without a visits entry (%s) in %s "
-                "— partially written checkpoint?", detail, self.path)
-        self._warn_corrupt(corrupt)
+            _metrics.REGISTRY.gauge("store.orphan_rows").set(
+                sum(self.last_orphan_counts.values()))
         return dataset
 
     def _warn_corrupt(self, corrupt: Counter) -> None:
@@ -695,7 +673,7 @@ class CrawlStore:
                     ) -> Iterator[SiteVisit]:
         """Stream stored visits in rank order with bounded memory.
 
-        Yields exactly what :meth:`load_dataset` would return, but only
+        :meth:`load_dataset` is this walk in one batch.  Only
         ``batch_size`` visits (plus their child rows) are resident at a
         time: the visits table is walked with keyset pagination
         (``WHERE rank > last``), and each child table is read over the
@@ -704,8 +682,8 @@ class CrawlStore:
         batch, not across the whole iteration, so concurrent writers are
         never starved.  Because the ranges tile the whole walk, orphan
         child rows (before the first rank, between two visits, after the
-        last) and corrupt rows are skipped and counted exactly as in
-        :meth:`load_dataset`; :attr:`last_orphan_counts` /
+        last) and corrupt rows are skipped and counted whatever the batch
+        size; :attr:`last_orphan_counts` /
         :attr:`last_corrupt_counts` are populated when the iterator is
         exhausted.
 
@@ -858,80 +836,17 @@ class CrawlStore:
         self._warn_corrupt(corrupt)
         return [by_rank[rank] for rank in wanted if rank in by_rank]
 
-    # -- SQL-side aggregates ------------------------------------------------------
+    # -- SQL-side counts ---------------------------------------------------------
     #
-    # For very large stored crawls it is wasteful to load every record back
-    # into Python just to compute adoption counts; these run the headline
-    # aggregations inside SQLite and must agree with the in-memory analyses
-    # (tested in tests/test_crawler.py).
+    # Visit-level tallies that ``repro crawl --no-collect`` reports without
+    # decoding a row.  Everything that reads frames goes through
+    # :meth:`iter_visits` and the analyses.
 
     def count_successful(self) -> int:
         with self._lock:
             row = self._conn.execute(
                 "SELECT COUNT(*) FROM visits WHERE success = 1").fetchone()
         return int(row[0])
-
-    def count_header_sites(self, header: str = "permissions-policy") -> int:
-        """Websites whose top-level document sends ``header``.
-
-        Matches on the JSON *keys* of the stored header map (names are
-        persisted lowercased).  A plain ``LIKE '%"name"%'`` would
-        false-positive whenever a hostile header *value* contains the
-        quoted header name — the PR 5 adversarial corpus produces exactly
-        that — so the substring match survives only as a prefilter in the
-        fallback path for SQLite builds without the JSON1 extension,
-        where each candidate row is re-checked against its parsed keys
-        (``json.dumps`` always emits the quoted key, so the prefilter is
-        provably a superset)."""
-        name = header.lower()
-        with self._lock:
-            try:
-                row = self._conn.execute(
-                    "SELECT COUNT(*) FROM frames "
-                    "WHERE parent_id IS NULL AND EXISTS ("
-                    "SELECT 1 FROM json_each(frames.headers) "
-                    "WHERE json_each.key = ?)", (name,)
-                ).fetchone()
-                return int(row[0])
-            except sqlite3.OperationalError:
-                rows = self._conn.execute(
-                    "SELECT headers FROM frames "
-                    "WHERE parent_id IS NULL AND headers LIKE ?",
-                    (f'%"{name}"%',)
-                ).fetchall()
-        count = 0
-        for (raw,) in rows:
-            try:
-                parsed = json.loads(raw)
-            except (TypeError, ValueError):
-                continue
-            if isinstance(parsed, dict) and name in parsed:
-                count += 1
-        return count
-
-    def count_delegating_sites(self) -> int:
-        """Websites with at least one direct iframe carrying an allow
-        attribute (a superset of true delegation: 'none' opt-outs are
-        resolved by the Python analysis, not in SQL)."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT COUNT(DISTINCT rank) FROM frames "
-                'WHERE depth = 1 AND iframe_attributes LIKE \'%"allow"%\''
-            ).fetchone()
-        return int(row[0])
-
-    def top_embedded_sites(self, limit: int = 10) -> list[tuple[str, int]]:
-        """Table 3 in SQL: external embedded sites by distinct websites."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT f.site, COUNT(DISTINCT f.rank) AS websites "
-                "FROM frames f "
-                "JOIN frames top ON top.rank = f.rank AND top.parent_id IS NULL "
-                "WHERE f.depth = 1 AND f.is_local = 0 AND f.site != '' "
-                "AND f.site != top.site "
-                "GROUP BY f.site ORDER BY websites DESC LIMIT ?", (limit,)
-            ).fetchall()
-        return [(site, int(count)) for site, count in rows]
 
     def failure_counts(self) -> dict[str, int]:
         with self._lock:

@@ -96,15 +96,15 @@ def time_analysis(site_count: int, seed: int) -> dict:
 def collect_analysis(site_count: int, *, seed: int = runner.DEFAULT_SEED,
                      rounds: int = 3) -> dict:
     """The BENCH_analysis.json document: legacy (pre-index) summarize vs
-    the indexed serial and parallel paths, over one crawl.
+    the indexed one, over one crawl.
 
     The legacy path is timed with parser interning disabled so it pays the
-    same re-parse cost the pre-index pipeline paid; the indexed paths start
-    from cleared caches every round so they are charged their own parse
+    same re-parse cost the pre-index pipeline paid; the indexed path starts
+    from cleared caches every round so it is charged its own parse
     work.  Each path is timed ``rounds`` times and the minimum wall clock
     is reported (the least-noise estimate of the true cost — the work is
     deterministic, so anything above the minimum is scheduling jitter).
-    The document also records whether all three summaries are
+    The document also records whether the two summaries are
     field-identical — the equivalence the differential tests enforce.
     """
     web = SyntheticWeb(site_count, seed=seed)
@@ -120,16 +120,8 @@ def collect_analysis(site_count: int, *, seed: int = runner.DEFAULT_SEED,
     serial_seconds = float("inf")
     for _ in range(rounds):
         clear_parser_caches()
-        seconds, serial_summary = _timed(
-            lambda: summarize(dataset, parallel=False))
+        seconds, serial_summary = _timed(lambda: summarize(dataset))
         serial_seconds = min(serial_seconds, seconds)
-
-    parallel_seconds = float("inf")
-    for _ in range(rounds):
-        clear_parser_caches()
-        seconds, parallel_summary = _timed(
-            lambda: summarize(dataset, parallel=True))
-        parallel_seconds = min(parallel_seconds, seconds)
 
     # Per-stage breakdown of the indexed pipeline: index build, then each
     # headline analysis over the shared index.
@@ -156,14 +148,11 @@ def collect_analysis(site_count: int, *, seed: int = runner.DEFAULT_SEED,
         "seed": seed,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
+        "code_fingerprint": runner.code_fingerprint(),
         "legacy_seconds": round(legacy_seconds, 4),
         "indexed_serial_seconds": round(serial_seconds, 4),
-        "indexed_parallel_seconds": round(parallel_seconds, 4),
         "speedup_serial_vs_legacy": round(legacy_seconds / serial_seconds, 2),
-        "speedup_parallel_vs_legacy": round(
-            legacy_seconds / parallel_seconds, 2),
-        "summaries_identical": (legacy_summary == serial_summary
-                                == parallel_summary),
+        "summaries_identical": legacy_summary == serial_summary,
     }
 
 

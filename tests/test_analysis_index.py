@@ -24,7 +24,7 @@ from repro.analysis.legacy import (
 from repro.analysis.ranks import DEFAULT_BUCKETS, RankBucketAnalysis
 from repro.analysis.summary import summarize
 from repro.analysis.usage import UsageAnalysis
-from repro.crawler.pool import CrawlerPool
+from repro.crawler.pool import CrawlDataset, CrawlerPool
 from repro.policy.allow_attr import parse_allow_attribute
 from repro.policy.header import HeaderParseError, parse_permissions_policy_header
 from repro.policy.memo import clear_parser_caches, parser_caches_disabled
@@ -45,16 +45,14 @@ class TestIndexedVsLegacy:
         dataset = crawl(seed=seed)
         with parser_caches_disabled():
             legacy = summarize_legacy(dataset)
-        indexed = summarize(dataset, parallel=False)
+        indexed = summarize(dataset)
         for f in dataclasses.fields(type(indexed)):
             assert getattr(indexed, f.name) == getattr(legacy, f.name), \
                 f"field {f.name} diverged at seed {seed}"
 
-    def test_parallel_identical_to_serial(self):
-        dataset = crawl(seed=2)
-        serial = summarize(dataset, parallel=False)
-        parallel = summarize(dataset, parallel=True)
-        assert serial == parallel
+    def test_parallel_summarize_rejected(self):
+        with pytest.raises(ValueError, match="parallel=True"):
+            summarize(CrawlDataset(), parallel=True)
 
     def test_shared_index_identical_to_fresh(self):
         dataset = crawl(seed=3)

@@ -189,7 +189,8 @@ class TestStorage:
 
 
 class TestSqlAggregates:
-    """The SQL-side aggregates must agree with the in-memory analyses."""
+    """The SQL-side visit counts ``repro crawl --no-collect`` reports must
+    agree with the in-memory dataset."""
 
     @pytest.fixture(scope="class")
     def store(self, dataset, tmp_path_factory):
@@ -204,76 +205,3 @@ class TestSqlAggregates:
 
     def test_failure_counts(self, store, dataset):
         assert store.failure_counts() == dataset.failure_summary()
-
-    def test_header_sites_matches_analysis(self, store, dataset):
-        from repro.analysis.headers import HeaderAnalysis
-        analysis = HeaderAnalysis(dataset.successful())
-        in_memory = sum(
-            1 for visit in dataset.successful()
-            if visit.top_frame.header("permissions-policy") is not None)
-        assert store.count_header_sites() == in_memory
-
-    def test_top_embedded_sites_match_analysis(self, store, dataset):
-        from repro.analysis.delegation import DelegationAnalysis
-        analysis = DelegationAnalysis(dataset.successful())
-        sql_ranking = store.top_embedded_sites(5)
-        memory_ranking = [(row.site, row.websites)
-                          for row in analysis.embedded_site_ranking(5)]
-        assert sql_ranking == memory_ranking
-
-    def test_delegating_superset(self, store, dataset):
-        from repro.analysis.delegation import DelegationAnalysis
-        analysis = DelegationAnalysis(dataset.successful())
-        assert store.count_delegating_sites() >= analysis.sites_delegating
-
-    @staticmethod
-    def _visit_with_headers(rank, headers):
-        from repro.crawler.records import FrameRecord, SiteVisit
-        url = f"https://site-{rank}.example"
-        return SiteVisit(
-            rank=rank, requested_url=url, final_url=url, success=True,
-            frames=[FrameRecord(
-                frame_id=0, url=url, origin=url,
-                site=f"site-{rank}.example", parent_id=None, depth=0,
-                is_local=False, headers=headers, iframe_attributes=None)])
-
-    @pytest.fixture()
-    def hostile_store(self, tmp_path):
-        # One real Permissions-Policy sender, plus two sites whose header
-        # *values* embed the quoted key string — the exact shape that
-        # fooled the old LIKE-substring counter.
-        with CrawlStore(tmp_path / "hostile.sqlite") as store:
-            store.save_visits([
-                self._visit_with_headers(
-                    0, {"permissions-policy": "camera=()"}),
-                self._visit_with_headers(
-                    1, {"x-taunt": 'sends "permissions-policy" never'}),
-                self._visit_with_headers(
-                    2, {"server": '{"permissions-policy": "fake"}'}),
-            ])
-            yield store
-
-    def test_header_count_ignores_hostile_values(self, hostile_store):
-        assert hostile_store.count_header_sites() == 1
-
-    def test_header_count_fallback_without_json1(self, hostile_store):
-        """The LIKE-prefilter + json.loads fallback (no json_each) must
-        agree with the JSON1 path."""
-        import sqlite3
-
-        real = hostile_store._conn
-
-        class NoJson1:
-            def execute(self, sql, *params):
-                if "json_each" in sql:
-                    raise sqlite3.OperationalError("no such table: json_each")
-                return real.execute(sql, *params)
-
-            def __getattr__(self, name):
-                return getattr(real, name)
-
-        hostile_store._conn = NoJson1()
-        try:
-            assert hostile_store.count_header_sites() == 1
-        finally:
-            hostile_store._conn = real
