@@ -395,6 +395,15 @@ class CrawlerPool:
     def stop_requested(self) -> bool:
         return self._stop.is_set()
 
+    def _target_url(self, rank: int) -> str:
+        """The landing URL of ``rank``.  The fetch reads the site's (cached)
+        spec anyway, so take its URL rather than re-drawing the host; an
+        out-of-range rank has no spec and is fetched as unreachable."""
+        web = self.web
+        if 0 <= rank < web.site_count:
+            return web.site(rank).url
+        return web.origin_for_rank(rank)
+
     def _make_crawler(self) -> Crawler:
         return Crawler(self.fetcher_factory(), config=self.config,
                        engine=self._engine, retry_policy=self.retry_policy)
@@ -570,8 +579,7 @@ class CrawlerPool:
                 # serial, process and resumed runs all see identical faults.
                 with TRACER.span("crawl.visit", rank=rank):
                     crawler = self._make_crawler()
-                    visit = crawler.visit(self.web.origin_for_rank(rank),
-                                          rank=rank)
+                    visit = crawler.visit(self._target_url(rank), rank=rank)
                 if batcher is not None:
                     batcher.add(visit)
                 if telemetry is not None:

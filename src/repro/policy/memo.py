@@ -1,4 +1,4 @@
-"""String-interned memoization for the pure policy parsers.
+"""String-interned memoization for the pure policy and origin parsers.
 
 The crawl produces heavily duplicated raw strings: thousands of frames
 share a handful of distinct ``allow`` attributes, ``Permissions-Policy``
@@ -10,14 +10,18 @@ the redundant work.
 
 Safety argument (see DESIGN.md "Analysis engine"):
 
-* **Purity** — ``parse_allow_attribute``, ``parse_permissions_policy_header``
-  and ``parse_feature_policy_header`` read nothing but their arguments and
-  global constants; two calls with the same raw string produce equal
+* **Purity** — ``parse_allow_attribute``, ``parse_permissions_policy_header``,
+  ``parse_feature_policy_header`` and the URL → origin and host → site
+  parsers of :mod:`repro.policy.origin` read nothing but their arguments
+  and global constants; two calls with the same raw string produce equal
   results.
 * **Effective immutability** — consumers only read the returned
   ``AllowAttribute`` / ``ParsedPolicyHeader`` / ``ParsedFeaturePolicyHeader``
   objects (enforced by convention and exercised by the differential tests
-  in ``tests/test_analysis_index.py``).
+  in ``tests/test_analysis_index.py``); :class:`~repro.policy.origin.Origin`
+  is a frozen dataclass.  Opaque origins compare by identity, so they are
+  never cached: :meth:`~repro.policy.origin.Origin.parse` mints a fresh
+  one on every call.
 * **Exceptions are never cached** — a parse that raises (e.g.
   :class:`~repro.policy.header.HeaderParseError`) re-raises freshly on
   every call, exactly like the uncached function.
@@ -25,9 +29,14 @@ Safety argument (see DESIGN.md "Analysis engine"):
   single-key writes are atomic, so concurrent callers at worst duplicate a
   pure computation and store an equal value.
 
-Caches are unbounded: the key population is the set of distinct raw
-strings in a crawl, which grows far slower than the crawl itself (raw
-strings are templated).  :func:`clear_parser_caches` resets everything —
+Every cache is bounded by :data:`_CACHE_MAX` entries and dropped
+wholesale when full (the same epoch-clear idiom as the policy engine's
+decision memo and the synthetic web's site-spec memo).  Most keys are
+templated raw strings whose population grows far slower than the crawl,
+but the URL and host keys of :mod:`repro.policy.origin` grow with it
+(about 1.25 new URLs per site), so an unbounded cache would grow without
+limit on a long crawl; after a clear, entries simply re-parse.
+:func:`clear_parser_caches` resets everything —
 benchmarks use it to measure cold-parse cost, and
 :func:`parser_caches_disabled` turns interning off entirely so the legacy
 (pre-index) pipeline can be timed faithfully.
@@ -49,6 +58,9 @@ _REGISTRY: list = []
 #: Nesting depth of :func:`parser_caches_disabled` contexts.
 _disabled = 0
 
+#: Entries one interned cache holds before it is cleared wholesale.
+_CACHE_MAX = 1 << 15
+
 
 def interned(fn: _F) -> _F:
     """Memoize a pure parser by its (hashable) positional arguments."""
@@ -67,6 +79,8 @@ def interned(fn: _F) -> _F:
             result = cache[args]
         except KeyError:
             result = fn(*args)
+            if len(cache) >= _CACHE_MAX:
+                cache.clear()
             cache[args] = result
             if _metrics.COUNTING:
                 misses.inc()

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
+from repro.policy.memo import interned
+
 #: Local schemes per the Fetch Standard, plus ``javascript:`` which the
 #: paper groups with them ("local document iframes", Section 4).
 LOCAL_SCHEMES: frozenset[str] = frozenset({"about", "data", "blob", "javascript"})
@@ -66,32 +68,19 @@ class Origin:
 
         Local-scheme URLs produce opaque origins.  Scheme-relative and bare
         hosts are rejected: callers must hand in absolute URLs, matching
-        what a crawler records.
+        what a crawler records.  Tuple origins are memoized by URL
+        (:mod:`repro.policy.memo`); opaque ones are fresh on every call.
 
         Raises:
             OriginParseError: for unparsable input.
         """
         if not url or not isinstance(url, str):
             raise OriginParseError(f"not a URL: {url!r}")
-        try:
-            split = urlsplit(url.strip())
-        except ValueError as exc:  # e.g. unbalanced IPv6 brackets
-            raise OriginParseError(f"unparsable URL {url!r}") from exc
-        scheme = split.scheme.lower()
-        if not scheme:
-            raise OriginParseError(f"URL without scheme: {url!r}")
-        if scheme in LOCAL_SCHEMES:
-            return cls(scheme=scheme, host="", port=None, opaque=True)
-        host = (split.hostname or "").lower()
-        if not host:
-            raise OriginParseError(f"URL without host: {url!r}")
-        try:
-            port = split.port
-        except ValueError as exc:
-            raise OriginParseError(f"invalid port in {url!r}") from exc
-        if port is not None and port == _DEFAULT_PORTS.get(scheme):
-            port = None
-        return cls(scheme=scheme, host=host, port=port)
+        parsed = _parse_url(url)
+        if parsed.__class__ is str:
+            # A local scheme: mint a fresh opaque origin on every call.
+            return cls(scheme=parsed, host="", port=None, opaque=True)
+        return parsed
 
     @classmethod
     def opaque_origin(cls, scheme: str = "data") -> "Origin":
@@ -137,6 +126,32 @@ class Origin:
         return self.serialize()
 
 
+@interned
+def _parse_url(url: str) -> "Origin | str":
+    """The tuple origin of ``url``, or the scheme name of a local-scheme
+    URL.  Memoized, so opaque origins are minted by the caller: they
+    compare by identity and must never be shared between parses."""
+    try:
+        split = urlsplit(url.strip())
+    except ValueError as exc:  # e.g. unbalanced IPv6 brackets
+        raise OriginParseError(f"unparsable URL {url!r}") from exc
+    scheme = split.scheme.lower()
+    if not scheme:
+        raise OriginParseError(f"URL without scheme: {url!r}")
+    if scheme in LOCAL_SCHEMES:
+        return scheme
+    host = (split.hostname or "").lower()
+    if not host:
+        raise OriginParseError(f"URL without host: {url!r}")
+    try:
+        port = split.port
+    except ValueError as exc:
+        raise OriginParseError(f"invalid port in {url!r}") from exc
+    if port is not None and port == _DEFAULT_PORTS.get(scheme):
+        port = None
+    return Origin(scheme=scheme, host=host, port=port)
+
+
 def public_suffix(host: str) -> str:
     """The public suffix of a host under the embedded PSL subset."""
     host = host.lower().rstrip(".")
@@ -152,10 +167,12 @@ def public_suffix(host: str) -> str:
     return labels[-1]
 
 
+@interned
 def registrable_domain(host: str) -> str:
     """eTLD+1 of a host — the paper's *site* notion.
 
-    IP addresses and single-label hosts are their own site.
+    IP addresses and single-label hosts are their own site.  Memoized by
+    host string.
     """
     host = host.lower().rstrip(".")
     if not host:

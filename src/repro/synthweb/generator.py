@@ -23,8 +23,9 @@ embedded in :mod:`repro.synthweb.profiles` /
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from repro.browser.dom import DocumentContent, IframeElement
@@ -106,6 +107,13 @@ _PARTNER_TEMPLATES: tuple[tuple[str, float, tuple[str, ...], tuple[str, ...]], .
     ("autoplay; encrypted-media; picture-in-picture", 0.14,
      (), ("autoplay", "encrypted-media", "picture-in-picture")),
 )
+
+#: Per-site inclusion rate of each ads network, given that the site runs
+#: ads at all; other ads profiles use 0.3.
+_ADS_BASE_RATES: dict[str, float] = {
+    "googlesyndication.com": 0.82, "doubleclick.net": 0.70,
+    "criteo.com": 0.43,
+}
 
 
 @dataclass
@@ -433,8 +441,7 @@ class SyntheticWeb:
         ads_gate = rng.random() < 0.038
         for profile in self.profiles:
             if profile.category == "ads":
-                base = {"googlesyndication.com": 0.82, "doubleclick.net": 0.70,
-                        "criteo.com": 0.43}.get(profile.site, 0.3)
+                base = _ADS_BASE_RATES.get(profile.site, 0.3)
                 extra = 0.0052 if profile.site == "doubleclick.net" else 0.0
                 include = (ads_gate and rng.random() < base) or (
                     rng.random() < extra)
@@ -527,15 +534,14 @@ class SyntheticWeb:
         landing-page only (keeping the landing page the richer document,
         as the paper's internal-pages literature finds for third parties).
         """
-        from dataclasses import replace as _replace
         spec = self.site(rank)
         scripts = []
         for script in spec.scripts:
             promoted = tuple(
-                _replace(op, requires_interaction=False)
+                replace(op, requires_interaction=False)
                 if op.interaction_gate == "navigation" else op
                 for op in script.operations)
-            scripts.append(_replace(script, operations=promoted))
+            scripts.append(replace(script, operations=promoted))
         return DocumentContent(scripts=scripts)
 
     def sub_syndication_content(self, rng: random.Random) -> DocumentContent:
@@ -588,7 +594,6 @@ def _weighted_index(rng: random.Random, weights: list[float]) -> int:
 
 def _poisson(rng: random.Random, lam: float) -> int:
     """Knuth's algorithm; lam is small here so this is fast."""
-    import math
     threshold = math.exp(-lam)
     count = 0
     product = rng.random()

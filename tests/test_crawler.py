@@ -129,6 +129,21 @@ class TestPool:
         with pytest.raises(ValueError):
             CrawlerPool(web, workers=0)
 
+    def test_site_url_is_rank_origin(self):
+        web = SyntheticWeb(300, seed=2024)
+        for rank in range(web.site_count):
+            assert web.site(rank).url == web.origin_for_rank(rank)
+
+    def test_out_of_range_rank_is_unreachable_visit(self):
+        web = SyntheticWeb(300, seed=2024)
+        rank = web.site_count + 3
+        dataset = CrawlerPool(web, workers=1).run(ranks=[rank])
+        [visit] = dataset.visits
+        assert visit.rank == rank
+        assert not visit.success
+        assert visit.failure == FailureMode.UNREACHABLE.value
+        assert visit.requested_url == web.origin_for_rank(rank)
+
 
 class TestInteraction:
     def test_interactive_crawl_observes_gated_calls(self, web):

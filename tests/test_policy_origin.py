@@ -4,10 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.policy import memo
+from repro.policy.allow_attr import parse_allow_attribute
+from repro.policy.feature_policy import parse_feature_policy_header
+from repro.policy.header import parse_permissions_policy_header
 from repro.policy.origin import (
     LOCAL_SCHEMES,
     Origin,
     OriginParseError,
+    _parse_url,
     public_suffix,
     registrable_domain,
     site_of,
@@ -158,3 +163,106 @@ class TestMalformedUrls:
         """urlsplit's raw ValueError must not leak past Origin.parse."""
         with pytest.raises(OriginParseError):
             Origin.parse(bad)
+
+
+# -- the URL -> origin and host -> site memos -----------------------------------
+
+_SCHEMES = st.sampled_from([
+    "http", "https", "HTTPS", "ws", "wss", "ftp", "about", "data", "blob",
+    "javascript", "JavaScript", "chrome-extension", ""])
+_HOSTS = st.one_of(
+    st.from_regex(r"[a-zA-Z0-9-]{1,10}(\.[a-z]{1,8}){0,3}"
+                  r"\.(com|org|co\.uk|github\.io|de)\.?", fullmatch=True),
+    st.from_regex(r"[0-9]{1,3}(\.[0-9]{1,3}){3}", fullmatch=True),
+    st.sampled_from(["[::1]", "[2001:db8::7]", "[::1", "[", "localhost",
+                     "LOCALHOST", "appspot.com", ""]),
+    st.text(max_size=10),
+)
+_PORTS = st.one_of(
+    st.just(""),
+    st.integers(min_value=0, max_value=70_000).map(lambda port: f":{port}"),
+    st.sampled_from([":", ":abc", ":-1", ":443", ":80"]),
+)
+_URLS = st.one_of(
+    st.builds(lambda scheme, host, port, path: f"{scheme}://{host}{port}{path}",
+              _SCHEMES, _HOSTS, _PORTS,
+              st.sampled_from(["", "/", "/p1?q=1", "#frag", " "])),
+    st.builds(lambda scheme, rest: f"{scheme}:{rest}", _SCHEMES,
+              st.text(max_size=12)),
+    st.text(max_size=30),
+)
+
+
+def _outcome(fn, *args):
+    """``fn``'s result, or the message of the OriginParseError it raised."""
+    try:
+        return ("ok", fn(*args))
+    except OriginParseError as exc:
+        return ("error", str(exc))
+
+
+def _uncached(fn, *args):
+    with memo.parser_caches_disabled():
+        return _outcome(fn, *args)
+
+
+class TestOriginMemo:
+    @given(_URLS)
+    def test_parse_and_site_equal_uncached(self, url):
+        for fn in (Origin.parse, site_of):
+            expected = _uncached(fn, url)
+            assert _outcome(fn, url) == expected
+            assert _outcome(fn, url) == expected  # a cache hit
+
+    @given(_HOSTS)
+    def test_registrable_domain_equals_uncached(self, host):
+        with memo.parser_caches_disabled():
+            expected = registrable_domain(host)
+        assert registrable_domain(host) == expected
+        assert registrable_domain(host) == expected
+
+    def test_tuple_origin_parsed_once(self):
+        memo.clear_parser_caches()
+        first = Origin.parse("https://a.example.org/x")
+        assert Origin.parse("https://a.example.org/x") is first
+        with memo.parser_caches_disabled():
+            assert Origin.parse("https://a.example.org/x") is not first
+
+    @pytest.mark.parametrize("scheme", sorted(LOCAL_SCHEMES))
+    def test_local_scheme_parses_stay_distinct(self, scheme):
+        url = "about:blank" if scheme == "about" else f"{scheme}:content"
+        first, second = Origin.parse(url), Origin.parse(url)
+        assert first.opaque and second.opaque
+        assert first is not second
+        assert not first.same_origin(second)
+        assert first.same_origin(first)
+
+    @pytest.mark.parametrize("bad", [
+        "https://[::1", "example.org", "https://", "https://a.org:99999"])
+    def test_parse_error_raised_on_every_repeat(self, bad):
+        for _ in range(3):
+            with pytest.raises(OriginParseError):
+                Origin.parse(bad)
+        assert (bad,) not in _parse_url.cache
+
+    def test_clear_parser_caches_empties_origin_memos(self):
+        site_of("https://www.example.co.uk/page")
+        assert _parse_url.cache and registrable_domain.cache
+        memo.clear_parser_caches()
+        assert not _parse_url.cache
+        assert not registrable_domain.cache
+
+    def test_every_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(memo, "_CACHE_MAX", 8)
+        memo.clear_parser_caches()
+        for i in range(100):
+            url = f"https://h{i}.site{i}.example{i % 7}.org:{8000 + i}/p"
+            raw = f"camera 'self'; geolocation https://e{i}.org"
+            expected = [_uncached(Origin.parse, url), _uncached(site_of, url),
+                        _uncached(parse_allow_attribute, raw)]
+            assert [_outcome(Origin.parse, url), _outcome(site_of, url),
+                    _outcome(parse_allow_attribute, raw)] == expected
+            parse_permissions_policy_header(f"camera=(self \"https://e{i}.org\")")
+            parse_feature_policy_header(f"camera 'self' https://e{i}.org")
+            assert all(len(wrapper.cache) <= 8 for wrapper in memo._REGISTRY)
+        memo.clear_parser_caches()
