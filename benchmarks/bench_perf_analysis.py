@@ -7,10 +7,10 @@ so it pays its original re-parse cost) against the indexed
 ``BENCH_analysis.json`` at the repository root (CI uploads it as an
 artifact).
 
-Scale comes from ``REPRO_PERF_SITES`` (default 2,000; CI smoke uses 500).
-Enforcement: both paths must produce field-identical summaries, and the
-indexed path must never be slower than the legacy one.  The 3x
-speedup target is recorded in the report and asserted at CI scale.
+Scale comes from ``REPRO_PERF_SITES`` (default 2,000; CI uses 500).
+The gates are :data:`repro.experiments.perf.ANALYSIS_GATES`: identical
+summaries, the index never slower than legacy, and >= 3x at >= 500
+sites (skipped with the reason below that scale).
 """
 
 from __future__ import annotations
@@ -18,7 +18,12 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.experiments.perf import collect_analysis, write_report
+from repro.experiments.gates import assert_gates
+from repro.experiments.perf import (
+    ANALYSIS_GATES,
+    collect_analysis,
+    write_report,
+)
 
 REPORT_PATH = Path(__file__).parent.parent / "BENCH_analysis.json"
 PERF_SITES = int(os.environ.get("REPRO_PERF_SITES",
@@ -29,22 +34,4 @@ def test_perf_analysis_report(benchmark):
     report = benchmark.pedantic(collect_analysis, args=(PERF_SITES,),
                                 rounds=1, iterations=1)
     write_report(report, REPORT_PATH)
-
-    assert report["summaries_identical"], \
-        "indexed summarize() diverged from the legacy implementation"
-    assert report["legacy_seconds"] > 0
-    # Stage breakdown: index build plus each headline analysis.
-    assert {stage["name"] for stage in report["stages"]} == {
-        "index", "usage", "delegation", "headers", "overpermission"}
-    assert report["indexed_serial_seconds"] > 0
-
-    # Hard floor: the index must never lose to the legacy path.
-    assert report["speedup_serial_vs_legacy"] >= 1.0, (
-        f"indexed serial summarize ({report['indexed_serial_seconds']}s) "
-        f"slower than legacy ({report['legacy_seconds']}s)")
-
-    # Target: >= 3x at the 500-site CI scale and above.
-    if PERF_SITES >= 500:
-        assert report["speedup_serial_vs_legacy"] >= 3.0, (
-            f"expected >= 3x speedup over the legacy pipeline, got "
-            f"{report['speedup_serial_vs_legacy']}x")
+    assert_gates(report, ANALYSIS_GATES)

@@ -6,33 +6,23 @@ measurement cache; every measured phase — self-diff, the 2020→2024
 cross-era diff, and two independent HTML renders — runs in its own spawn
 subprocess so peak RSS is attributable per phase.
 
-Enforced gates (recorded under ``gates`` in the document):
-
-* ``self_diff_empty`` — diffing a store against itself yields no
-  added/removed/changed sites;
-* ``diff_rss_within_bound`` — the cross-era diff of two stores streams
-  inside the scale harness's RSS bound (no full-dataset materialization);
-* ``diff_time_within_bound`` — the diff finishes inside the (generous)
-  wall-time bound;
-* ``html_deterministic`` — two profile+render passes in separate
-  subprocesses produce byte-identical HTML (SHA-256);
-* ``fig2_pp_rises`` / ``fig2_fp_falls`` — the stored-crawl timeline
-  reproduces the paper's Fig. 2 transition direction.
+The gates are :data:`repro.experiments.drift_study.DRIFT_GATES`: an
+empty self-diff, a cross-era diff of changed sites only that streams
+inside the scale harness's RSS bound and the wall-time bound,
+byte-identical HTML across two subprocess renders, and the paper's
+Fig. 2 direction from the stored crawls.
 
 ``REPRO_DRIFT_SITES`` scales the run (default 10,000 sites per era;
-CI smoke uses a smaller store).
+CI smoke uses 2,000).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.experiments.drift_study import (
-    DIFF_TIME_BOUND_SECONDS,
-    collect_drift_bench,
-)
+from repro.experiments.drift_study import DRIFT_GATES, collect_drift_bench
+from repro.experiments.gates import assert_gates
 from repro.experiments.perf import write_report
-from repro.experiments.scale import RSS_BOUND_BYTES
 
 REPORT_PATH = Path(__file__).parent.parent / "BENCH_drift.json"
 
@@ -40,38 +30,4 @@ REPORT_PATH = Path(__file__).parent.parent / "BENCH_drift.json"
 def test_perf_drift_report(benchmark):
     report = benchmark.pedantic(collect_drift_bench, rounds=1, iterations=1)
     write_report(report, REPORT_PATH)
-
-    assert report["self_diff"]["is_empty"], (
-        f"self-diff of the {report['site_count']}-site era store found "
-        f"{report['self_diff']['changed']} changed / "
-        f"{report['self_diff']['added']} added / "
-        f"{report['self_diff']['removed']} removed sites")
-    assert report["self_diff"]["unchanged"] == report["site_count"]
-
-    cross = report["cross_diff"]
-    assert cross["peak_rss_bytes"] < RSS_BOUND_BYTES, (
-        f"cross-era diff peaked at {cross['peak_rss_bytes'] / 2**20:.0f} "
-        f"MiB (bound: {RSS_BOUND_BYTES / 2**20:.0f} MiB)")
-    assert cross["seconds"] < DIFF_TIME_BOUND_SECONDS
-    # Era stores share site slots (same seed and count), so the 2020→2024
-    # movement must show up as changed sites, not churn.
-    assert cross["added"] == 0 and cross["removed"] == 0
-    assert cross["changed"] > 0
-    assert cross["pp_delta"] > 0, (
-        "Permissions-Policy adoption did not rise 2020→2024")
-
-    assert report["render_first"]["sha256"] \
-        == report["render_second"]["sha256"], \
-        "HTML report bytes are not deterministic across renders"
-    assert report["render_first"]["bytes"] > 0
-
-    gates = report["gates"]
-    assert all(gates[key] for key in (
-        "self_diff_empty", "diff_rss_within_bound",
-        "diff_time_within_bound", "html_deterministic",
-        "fig2_pp_rises", "fig2_fp_falls")), gates
-
-    # Every gate is either evaluated or recorded as skipped with a reason.
-    assert "gates_skipped" in report
-    for entry in report["gates_skipped"]:
-        assert entry.get("gate") and entry.get("reason")
+    assert_gates(report, DRIFT_GATES)

@@ -7,16 +7,10 @@ a small payload pool, so the run exercises the full request path —
 transport parse, rate limiter, canonical-text cache, adapters — with
 genuine cache hits.
 
-Enforced gates (recorded under ``gates`` in the document):
-
-* ``p99_latency_under_bound`` — p99 request latency < 250 ms;
-* ``throughput_at_least`` — >= 150 req/s sustained (skipped with the
-  reason on single-core hosts);
-* ``cache_hit_rate_positive`` — the LRU must see hits on the repeated
-  workload;
-* ``byte_identical_responses`` — cosmetically different spellings of
-  one policy canonicalize to byte-identical responses;
-* ``all_responses_ok`` — the load run produces no non-200 response.
+The gates are :data:`repro.experiments.service_bench.SERVICE_GATES`:
+p99 latency < 250 ms, >= 150 req/s (skipped with the reason on
+single-core hosts), cache hits on the repeated workload, byte-identical
+responses for cosmetic spellings of one policy, and no non-200 response.
 
 ``REPRO_SERVICE_CLIENTS`` / ``REPRO_SERVICE_REQUESTS`` scale the run
 (defaults: 8 clients x 120 requests; CI smoke uses a smaller tier).
@@ -27,10 +21,12 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+from repro.experiments.gates import assert_gates
 from repro.experiments.perf import write_report
 from repro.experiments.service_bench import (
     DEFAULT_CLIENTS,
     DEFAULT_REQUESTS_PER_CLIENT,
+    SERVICE_GATES,
     collect_service_bench,
 )
 
@@ -45,17 +41,4 @@ def test_perf_service_report(benchmark):
         collect_service_bench, rounds=1, iterations=1,
         kwargs={"clients": clients, "requests_per_client": requests})
     write_report(report, REPORT_PATH)
-
-    load = report["load"]
-    assert load["non_200_responses"] == 0, load["statuses"]
-    assert report["gates"]["p99_latency_under_bound"], (
-        f"p99 latency {load['p99_latency_seconds']}s exceeds the "
-        f"{report['gates']['p99_latency_bound_seconds']}s bound")
-    assert report["gates"]["cache_hit_rate_positive"], report["cache"]
-    assert report["gates"]["byte_identical_responses"], (
-        report["byte_identity"])
-    for gate, value in report["gates"].items():
-        if isinstance(value, bool):
-            assert value, f"gate {gate} failed"
-    for entry in report["gates_skipped"]:
-        assert entry.get("gate") and entry.get("reason"), entry
+    assert_gates(report, SERVICE_GATES)

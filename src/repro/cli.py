@@ -669,8 +669,12 @@ def main(argv: list[str] | None = None) -> int:
     if command == "service-bench":
         import json
 
+        from repro.experiments.gates import failures
         from repro.experiments.perf import write_report
-        from repro.experiments.service_bench import collect_service_bench
+        from repro.experiments.service_bench import (
+            SERVICE_GATES,
+            collect_service_bench,
+        )
 
         report = collect_service_bench(clients=args.clients,
                                        requests_per_client=args.requests)
@@ -684,8 +688,7 @@ def main(argv: list[str] | None = None) -> int:
         for entry in report["gates_skipped"]:
             print(f"skipped {entry['gate']}: {entry['reason']}")
         print(f"wrote {path}")
-        return 0 if all(v for v in report["gates"].values()
-                        if isinstance(v, bool)) else 1
+        return 1 if failures(report, SERVICE_GATES) else 0
 
     return 2  # pragma: no cover - argparse enforces choices
 

@@ -25,8 +25,8 @@ poison rank is bisected down and quarantined while the other workers
 keep crawling.
 
 ``benchmarks/bench_perf_chaos.py`` runs this at ``REPRO_CHAOS_SITES``
-scale and writes ``BENCH_chaos.json`` plus the quarantine report CI
-uploads.
+scale and writes ``BENCH_chaos.json``, whose gate table is
+:data:`CHAOS_GATES`.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from repro.crawler.storage import CrawlStore, export_jsonl
 from repro.crawler.supervisor import SupervisorConfig
 from repro.crawler.telemetry import CrawlTelemetry
 from repro.experiments import runner
+from repro.experiments.gates import Gate, evaluate, host_facts
 from repro.synthweb.generator import SyntheticWeb
 
 #: Maximum share of a chunk's duration the disabled supervisor may cost.
@@ -121,23 +122,78 @@ def _export_digest(store: CrawlStore, path: Path,
     return hashlib.sha256(path.read_bytes()).hexdigest(), count
 
 
+def _planned(report: dict, kind: str) -> list:
+    return report["injection_plan"][kind]
+
+
+def _fired_per_plan(report: dict, kind: str) -> bool:
+    return report["injections_fired"][kind] == _planned(report, kind)
+
+
+def _crash_recovery_counts(report: dict) -> bool:
+    stats = report["supervisor"]
+    return (stats["rebuilds"] >= len(_planned(report, "kill"))
+            + len(_planned(report, "hang"))
+            and stats["requeued_ranks"] > 0)
+
+
+def _hang_caught(report: dict) -> bool:
+    return (report["supervisor"]["watchdog_hangs"]
+            >= len(_planned(report, "hang"))
+            and _fired_per_plan(report, "hang"))
+
+
+def _merge_retried(report: dict) -> bool:
+    return (report["supervisor"]["merge_retries"]
+            >= len(_planned(report, "merge"))
+            and _fired_per_plan(report, "merge"))
+
+
+def _unless_planned(kind: str, reason: str):
+    return lambda report: None if _planned(report, kind) else reason
+
+
+def _visits_match(report: dict) -> bool:
+    quarantined = report["quarantine_report"]["quarantined_ranks"]
+    return report["chaos"]["visits"] == report["site_count"] - len(
+        quarantined)
+
+
+CHAOS_GATES = (
+    # A drill that raised never reaches the report.
+    Gate("chaos_run_completed", lambda r: "chaos" in r),
+    # Byte identity: chaos export == baseline export minus exactly the
+    # quarantined ranks.
+    Gate("byte_identical_modulo_quarantine", lambda r: r["chaos"][
+        "export_sha256"] == r["chaos"]["truth_minus_quarantine_sha256"]),
+    Gate("visits_match_sites_minus_quarantine", _visits_match),
+    Gate("quarantine_matches_poison_plan", lambda r: sorted(
+        r["quarantine_report"]["quarantined_ranks"])
+        == sorted(_planned(r, "poison"))),
+    Gate("kills_fired_per_plan", lambda r: _fired_per_plan(r, "kill")),
+    Gate("rebuilds_within_budget",
+         lambda r: r["supervisor"]["rebuilds"] <= r["rebuild_budget"]),
+    Gate("crash_recovery_counts", _crash_recovery_counts),
+    Gate("no_sidecar_leftovers", lambda r: not r["sidecar_leftovers"]),
+    Gate("hang_caught_by_watchdog", _hang_caught,
+         _unless_planned("hang", "no hangs in the injection plan")),
+    Gate("merge_retry_recovered", _merge_retried,
+         _unless_planned("merge", "no merge errors in the plan")),
+    Gate("supervision_off_overhead_under_bound", lambda r: r[
+        "supervision_off_overhead"]["share_of_chunk"] < OVERHEAD_BOUND),
+)
+
+
 def collect_chaos(site_count: int, *, seed: int = runner.DEFAULT_SEED,
                   workers: int = 4, kills: int = 3, hangs: int = 1,
                   poisons: int = 1, merge_errors: int = 1,
                   chaos_seed: int = 97) -> dict:
     """Run the drill and return the ``BENCH_chaos.json`` document."""
-    from repro.crawler.backends import MAX_CHUNK_SIZE
+    from repro.crawler.backends import MAX_CHUNK_SIZE, TARGET_CHUNK_SECONDS
 
     web = SyntheticWeb(site_count, seed=seed)
     budget = rebuild_budget(kills=kills, hangs=hangs, poisons=poisons,
                             max_chunk_size=MAX_CHUNK_SIZE)
-    report: dict = {
-        "site_count": site_count, "seed": seed, "workers": workers,
-        "rebuild_budget": budget,
-    }
-    gates: dict = {}
-    gates_skipped: list[dict] = []
-
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmpdir:
         tmp = Path(tmpdir)
 
@@ -164,7 +220,6 @@ def collect_chaos(site_count: int, *, seed: int = runner.DEFAULT_SEED,
         chaos_pool.run(store=chaos_store, collect=False, chaos=chaos,
                        supervisor=config, telemetry=telemetry)
         chaos_seconds = time.perf_counter() - started
-        gates["chaos_run_completed"] = True
 
         stats = chaos_pool.last_supervisor_stats
         fired = chaos.fired()
@@ -185,38 +240,12 @@ def collect_chaos(site_count: int, *, seed: int = runner.DEFAULT_SEED,
         baseline_store.close()
         chaos_store.close()
 
-    plan = chaos.planned()
-    gates["byte_identical_modulo_quarantine"] = chaos_sha == truth_sha
-    gates["quarantine_matches_poison_plan"] = (
-        sorted(quarantined) == sorted(plan["poison"]))
-    gates["kills_fired_per_plan"] = fired["kill"] == plan["kill"]
-    gates["rebuilds_within_budget"] = stats["rebuilds"] <= budget
-    gates["crash_recovery_counts"] = (
-        stats["rebuilds"] >= kills + hangs
-        and stats["requeued_ranks"] > 0)
-    gates["no_sidecar_leftovers"] = not leftovers
-    if hangs > 0:
-        gates["hang_caught_by_watchdog"] = (
-            stats["watchdog_hangs"] >= hangs
-            and fired["hang"] == plan["hang"])
-    else:
-        gates_skipped.append({"gate": "hang_caught_by_watchdog",
-                              "reason": "no hangs in the injection plan"})
-    if merge_errors > 0:
-        gates["merge_retry_recovered"] = (
-            stats["merge_retries"] >= merge_errors
-            and fired["merge"] == plan["merge"])
-    else:
-        gates_skipped.append({"gate": "merge_retry_recovered",
-                              "reason": "no merge errors in the plan"})
-
     per_chunk = supervision_off_cost()
-    from repro.crawler.backends import TARGET_CHUNK_SECONDS
-    overhead_share = per_chunk / TARGET_CHUNK_SECONDS
-    gates["supervision_off_overhead_under_bound"] = (
-        overhead_share < OVERHEAD_BOUND)
-
-    report.update({
+    plan = chaos.planned()
+    return evaluate({
+        "site_count": site_count, "seed": seed, "workers": workers,
+        **host_facts(),
+        "rebuild_budget": budget,
         "injection_plan": {kind: list(ranks)
                            for kind, ranks in plan.items()},
         "injections_fired": {kind: list(ranks)
@@ -234,16 +263,12 @@ def collect_chaos(site_count: int, *, seed: int = runner.DEFAULT_SEED,
             "quarantined_ranks": sorted(quarantined),
             "rows": [{"rank": rank, "reason": reason, "detail": detail}
                      for rank, reason, detail in quarantine_rows],
-            "events": stats["events"],
         },
         "supervision_off_overhead": {
             "per_chunk_seconds": per_chunk,
             "target_chunk_seconds": TARGET_CHUNK_SECONDS,
-            "share_of_chunk": overhead_share,
+            "share_of_chunk": per_chunk / TARGET_CHUNK_SECONDS,
             "bound": OVERHEAD_BOUND,
         },
         "sidecar_leftovers": leftovers,
-        "gates": gates,
-        "gates_skipped": gates_skipped,
-    })
-    return report
+    }, CHAOS_GATES)

@@ -9,11 +9,9 @@ direction — Feature-Policy falls while Permissions-Policy rises.
 
 :func:`collect_drift_bench` is the ``benchmarks/bench_perf_drift.py``
 backend (BENCH_drift.json).  Phases that measure memory run in spawn
-subprocesses via the scale harness so peak RSS is attributable, and every
-gate lands in ``gates`` (or ``gates_skipped`` with a reason — none are
-currently skippable, but the protocol matches BENCH_scale.json).
+subprocesses via the scale harness so peak RSS is attributable.
 
-Gates:
+:data:`DRIFT_GATES` (none depends on the host) include:
 
 * ``self_diff_empty`` — diffing a store against itself yields no
   added/removed/changed sites;
@@ -37,6 +35,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.experiments.gates import Gate, evaluate, host_facts
+from repro.experiments.scale import RSS_BOUND_BYTES
 from repro.synthweb.eras import Era, era_context
 
 #: Era sequence for the study, oldest first (the Fig. 2 timeline).
@@ -191,28 +191,34 @@ def _render_worker(params: dict) -> dict:
     }
 
 
-def check_drift_gates(report: dict) -> "tuple[dict, list[dict]]":
-    """Evaluate every drift gate; none are runner-dependent today, so the
-    skip list stays empty — kept for protocol parity with the scale
-    bench (every gate must be a recorded boolean or a recorded skip)."""
-    from repro.experiments.scale import RSS_BOUND_BYTES
+def _fig2_step(report: dict, series: str) -> float:
+    """Last era's share minus the first era's, off the stored timeline."""
+    values = report["render_first"][series]
+    return values[-1] - values[0]
 
-    pp = report["render_first"]["pp_top_level_share"]
-    fp = report["render_first"]["fp_top_level_share"]
-    gates = {
-        "self_diff_empty": report["self_diff"]["is_empty"],
-        "diff_rss_within_bound":
-            report["cross_diff"]["peak_rss_bytes"] < RSS_BOUND_BYTES,
-        "diff_time_within_bound":
-            report["cross_diff"]["seconds"] < DIFF_TIME_BOUND_SECONDS,
-        "html_deterministic":
-            report["render_first"]["sha256"]
-            == report["render_second"]["sha256"],
-        "fig2_pp_rises": pp[-1] > pp[0],
-        "fig2_fp_falls": fp[-1] < fp[0],
-    }
-    gates_skipped: "list[dict]" = []
-    return gates, gates_skipped
+
+DRIFT_GATES = (
+    Gate("self_diff_empty", lambda r: r["self_diff"]["is_empty"]),
+    Gate("self_diff_covers_sites",
+         lambda r: r["self_diff"]["unchanged"] == r["site_count"]),
+    Gate("diff_rss_within_bound",
+         lambda r: r["cross_diff"]["peak_rss_bytes"] < RSS_BOUND_BYTES),
+    Gate("diff_time_within_bound",
+         lambda r: r["cross_diff"]["seconds"] < DIFF_TIME_BOUND_SECONDS),
+    # Era stores share site slots (same seed and count), so the
+    # 2020→2024 movement must show up as changed sites, not churn.
+    Gate("cross_diff_no_churn", lambda r: r["cross_diff"]["added"] == 0
+         and r["cross_diff"]["removed"] == 0),
+    Gate("cross_diff_changed", lambda r: r["cross_diff"]["changed"] > 0),
+    Gate("cross_diff_pp_rises", lambda r: r["cross_diff"]["pp_delta"] > 0),
+    Gate("html_deterministic", lambda r: r["render_first"]["sha256"]
+         == r["render_second"]["sha256"]),
+    Gate("html_rendered", lambda r: r["render_first"]["bytes"] > 0),
+    Gate("fig2_pp_rises",
+         lambda r: _fig2_step(r, "pp_top_level_share") > 0),
+    Gate("fig2_fp_falls",
+         lambda r: _fig2_step(r, "fp_top_level_share") < 0),
+)
 
 
 def collect_drift_bench(site_count: "int | None" = None, *,
@@ -223,7 +229,7 @@ def collect_drift_bench(site_count: "int | None" = None, *,
     cache and is not what this bench measures); every measured phase —
     self-diff, cross-era diff, the two renders — runs in its own spawn
     subprocess so ``ru_maxrss`` starts from a clean interpreter."""
-    from repro.experiments.scale import RSS_BOUND_BYTES, _run_phase
+    from repro.experiments.scale import _run_phase
 
     count = site_count if site_count is not None else \
         configured_drift_sites()
@@ -241,9 +247,10 @@ def collect_drift_bench(site_count: "int | None" = None, *,
             "stores": store_args, "labels": labels})
         render_second = _run_phase(_render_worker, {
             "stores": store_args, "labels": labels})
-    report = {
+    return evaluate({
         "site_count": count,
         "seed": seed,
+        **host_facts(),
         "eras": labels,
         "self_diff": self_diff,
         "cross_diff": cross_diff,
@@ -251,11 +258,7 @@ def collect_drift_bench(site_count: "int | None" = None, *,
         "render_second": render_second,
         "rss_bound_bytes": RSS_BOUND_BYTES,
         "time_bound_seconds": DIFF_TIME_BOUND_SECONDS,
-    }
-    gates, gates_skipped = check_drift_gates(report)
-    report["gates"] = gates
-    report["gates_skipped"] = gates_skipped
-    return report
+    }, DRIFT_GATES)
 
 
 def main(argv: "list[str] | None" = None) -> int:

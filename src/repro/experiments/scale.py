@@ -25,6 +25,8 @@ Two correctness gates ride along:
   with the streaming summary field-identical to the materialized one;
 * the process-parallel streaming summary must be field-identical to the
   serial one at every tier.
+
+:data:`SCALE_GATES` is the document's gate table.
 """
 
 from __future__ import annotations
@@ -32,12 +34,19 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
-import platform
 import resource
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from repro.experiments.gates import (
+    PROCESS_SPEEDUP_BOUND,
+    Gate,
+    evaluate,
+    host_facts,
+    process_2x_unmet,
+)
 
 DEFAULT_TIERS = (10_000, 100_000)
 DEFAULT_SEED = 2024
@@ -289,72 +298,56 @@ def measure_tier(site_count: int, *, seed: int = DEFAULT_SEED,
     return tier
 
 
-#: The process-vs-serial crawl race only proves parallelism on a runner
-#: with real cores; below this the gate is recorded as skipped instead.
-PROCESS_GATE_MIN_CPUS = 4
-#: …and only at paper-meaningful scale: tiny tiers are dominated by
-#: worker warm-up, not crawl throughput.
-PROCESS_GATE_MIN_SITES = 10_000
-PROCESS_SPEEDUP_BOUND = 2.0
+def _phases(report: dict) -> "list[dict]":
+    return [tier[phase] for tier in report["tiers"]
+            for phase in ("crawl", "export", "summarize")]
 
 
-def check_gates(report: dict) -> "tuple[dict, list[dict]]":
-    """Evaluate every gate over an assembled report (recorded in the
-    document so the JSON is self-describing; the bench asserts them).
+def _race_unmet(report: dict) -> "str | None":
+    smallest = min(tier["site_count"] for tier in report["tiers"])
+    reason = process_2x_unmet(report["cpu_count"], smallest)
+    return reason and f"no backend race: {reason}"
 
-    Returns ``(gates, gates_skipped)``: a gate that cannot be *meaningfully*
-    evaluated on this runner (e.g. the process-2× race on a single-core
-    container) is left out of ``gates`` and listed in ``gates_skipped``
-    with the reason, so a passing report never silently weakens the claim.
-    """
-    tiers = report["tiers"]
-    phases = [(tier["site_count"], phase, tier[phase]["peak_rss_bytes"])
-              for tier in tiers for phase in ("crawl", "export", "summarize")]
-    memo = report["memo"]
-    cpus = report.get("cpu_count") or 1
-    gates = {
-        "rss_bound_bytes": RSS_BOUND_BYTES,
-        "peak_rss_within_bound": all(rss < RSS_BOUND_BYTES
-                                     for _, _, rss in phases),
-        "worst_rss_bytes": max(rss for _, _, rss in phases),
-        "store_share_bound": STORE_SHARE_BOUND,
-        "store_share_within_bound": all(
-            tier["crawl"]["store_share"] <= STORE_SHARE_BOUND
-            for tier in tiers),
-        "worst_store_share": max(tier["crawl"]["store_share"]
-                                 for tier in tiers),
-        "memo_rate_bound": MEMO_RATE_BOUND,
-        "memo_rate_above_bound": memo["hit_rate"] > MEMO_RATE_BOUND,
-        "memo_summaries_identical": memo["summaries_identical"],
-        "summarize_parallel_identical": all(
-            tier["summarize_parallel"]["identical_to_serial"]
-            for tier in tiers if "summarize_parallel" in tier),
-    }
-    skipped: list[dict] = []
 
-    race = report.get("backend_race")
-    if race is None:
-        skipped.append({
-            "gate": "process_2x_serial",
-            "reason": f"no backend race: needs >= {PROCESS_GATE_MIN_CPUS} "
-                      f"CPUs (have {cpus}) and a >= "
-                      f"{PROCESS_GATE_MIN_SITES}-site tier"})
-    else:
-        gates["process_speedup_bound"] = PROCESS_SPEEDUP_BOUND
-        gates["process_speedup_vs_serial"] = race["speedup"]
-        gates["process_2x_serial"] = race["speedup"] >= PROCESS_SPEEDUP_BOUND
-
-    if cpus >= 2:
-        largest = max(tiers, key=lambda tier: tier["site_count"])
-        gates["summarize_parallel_faster"] = (
-            largest["summarize_parallel"]["seconds"]
+def _largest_parallel_faster(report: dict) -> bool:
+    largest = max(report["tiers"], key=lambda tier: tier["site_count"])
+    return (largest["summarize_parallel"]["seconds"]
             < largest["summarize"]["seconds"])
-    else:
-        skipped.append({
-            "gate": "summarize_parallel_faster",
-            "reason": f"single-CPU runner (cpu_count={cpus}): parallel "
-                      "summarize cannot beat serial without cores"})
-    return gates, skipped
+
+
+def _needs_cores(report: dict) -> "str | None":
+    cpus = report["cpu_count"]
+    return None if cpus >= 2 else (
+        f"single-CPU runner (cpu_count={cpus}): parallel summarize cannot "
+        "beat serial without cores")
+
+
+SCALE_GATES = (
+    Gate("peak_rss_within_bound", lambda r: all(
+        phase["peak_rss_bytes"] < RSS_BOUND_BYTES for phase in _phases(r))),
+    Gate("store_share_within_bound", lambda r: all(
+        tier["crawl"]["store_share"] <= STORE_SHARE_BOUND
+        for tier in r["tiers"])),
+    Gate("crawl_throughput_positive", lambda r: all(
+        tier["crawl"]["sites_per_second"] > 0 for tier in r["tiers"])),
+    Gate("export_covers_sites", lambda r: all(
+        tier["export"]["visits"] == tier["site_count"]
+        for tier in r["tiers"])),
+    Gate("summarize_covers_sites", lambda r: all(
+        tier[mode]["attempted"] == tier["site_count"] for tier in r["tiers"]
+        for mode in ("summarize", "summarize_parallel"))),
+    Gate("memo_rate_above_bound",
+         lambda r: r["memo"]["hit_rate"] > MEMO_RATE_BOUND),
+    Gate("memo_summaries_identical",
+         lambda r: r["memo"]["summaries_identical"]),
+    Gate("summarize_parallel_identical", lambda r: all(
+        tier["summarize_parallel"]["identical_to_serial"]
+        for tier in r["tiers"])),
+    Gate("process_2x_serial", lambda r: r["backend_race"]["speedup"]
+         >= PROCESS_SPEEDUP_BOUND, _race_unmet),
+    Gate("summarize_parallel_faster", _largest_parallel_faster,
+         _needs_cores),
+)
 
 
 def collect_scale(tiers: "tuple[int, ...] | None" = None, *,
@@ -366,16 +359,14 @@ def collect_scale(tiers: "tuple[int, ...] | None" = None, *,
     ``serial`` on a single core (where process churn only adds overhead).
     """
     chosen = tuple(tiers) if tiers is not None else configured_tiers()
-    smallest = min(chosen)
-    cpus = os.cpu_count() or 1
+    host = host_facts()
     if backend is None:
-        backend = "process" if cpus > 1 else "serial"
+        backend = "process" if host["cpu_count"] > 1 else "serial"
     report = {
         "seed": seed,
         "workers": workers,
         "backend": backend,
-        "cpu_count": cpus,
-        "python": platform.python_version(),
+        **host,
         "tiers": [measure_tier(tier, seed=seed, workers=workers,
                                backend=backend)
                   for tier in chosen],
@@ -386,11 +377,10 @@ def collect_scale(tiers: "tuple[int, ...] | None" = None, *,
             "site_count": MEMO_SITES, "seed": seed, "workers": workers,
             "backend": "serial"}),
     }
-    if cpus >= PROCESS_GATE_MIN_CPUS and smallest >= PROCESS_GATE_MIN_SITES:
+    if _race_unmet(report) is None:
         report["backend_race"] = _backend_race(
-            smallest, seed=seed, workers=workers)
-    report["gates"], report["gates_skipped"] = check_gates(report)
-    return report
+            min(chosen), seed=seed, workers=workers)
+    return evaluate(report, SCALE_GATES)
 
 
 def _backend_race(site_count: int, *, seed: int, workers: int) -> dict:

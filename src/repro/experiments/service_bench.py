@@ -4,8 +4,8 @@ Boots a :class:`~repro.service.server.ServiceThread` and drives it with
 concurrent keep-alive clients over real sockets (stdlib
 ``http.client``), mixing the four routes with a deliberately *repetitive*
 payload pool so the response cache sees hits.  Produces the
-``BENCH_service.json`` document with the established ``gates`` /
-``gates_skipped`` protocol:
+``BENCH_service.json`` document, whose gate table
+:data:`SERVICE_GATES` holds:
 
 * ``p99_latency_under_bound`` — p99 request latency under
   :data:`P99_LATENCY_BOUND_SECONDS`;
@@ -16,7 +16,8 @@ payload pool so the response cache sees hits.  Produces the
   workload;
 * ``byte_identical_responses`` — two cosmetically different spellings of
   the same policy canonicalize to the same cache slot and come back
-  byte-for-byte identical.
+  byte-for-byte identical;
+* ``all_responses_ok`` — the load run produces no non-200 response.
 
 ``serve``/``service-bench`` in the CLI and
 ``benchmarks/bench_perf_service.py`` are thin wrappers over this module.
@@ -26,12 +27,11 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
-import platform
 import statistics
 import threading
 import time
 
+from repro.experiments.gates import Gate, evaluate, host_facts
 from repro.service.ratelimit import RateLimitConfig
 from repro.service.server import PolicyService, ServiceThread
 
@@ -149,31 +149,24 @@ def _byte_identity_probe(host: str, port: int) -> dict:
     }
 
 
-def check_service_gates(report: dict) -> "tuple[dict, list[dict]]":
-    """``(gates, gates_skipped)`` for a BENCH_service.json document."""
-    cpus = report.get("cpu_count") or 1
-    load = report["load"]
-    gates = {
-        "p99_latency_bound_seconds": P99_LATENCY_BOUND_SECONDS,
-        "p99_latency_under_bound":
-            load["p99_latency_seconds"] < P99_LATENCY_BOUND_SECONDS,
-        "cache_hit_rate_positive": report["cache"]["hit_rate"] > 0,
-        "byte_identical_responses":
-            report["byte_identity"]["variant_bodies_identical"],
-        "all_responses_ok": load["non_200_responses"] == 0,
-    }
-    skipped: list[dict] = []
-    if cpus >= THROUGHPUT_MIN_CPUS:
-        gates["throughput_bound_rps"] = THROUGHPUT_BOUND_RPS
-        gates["throughput_at_least"] = (
-            load["requests_per_second"] >= THROUGHPUT_BOUND_RPS)
-    else:
-        skipped.append({
-            "gate": "throughput_at_least",
-            "reason": f"single-core host (cpu_count={cpus}): client "
-                      "threads and the server loop share one core, so "
-                      "req/s measures contention, not the service"})
-    return gates, skipped
+def _needs_cores(report: dict) -> "str | None":
+    cpus = report["cpu_count"]
+    return None if cpus >= THROUGHPUT_MIN_CPUS else (
+        f"single-core host (cpu_count={cpus}): client threads and the "
+        "server loop share one core, so req/s measures contention, not "
+        "the service")
+
+
+SERVICE_GATES = (
+    Gate("p99_latency_under_bound", lambda r: r["load"][
+        "p99_latency_seconds"] < P99_LATENCY_BOUND_SECONDS),
+    Gate("throughput_at_least", lambda r: r["load"][
+        "requests_per_second"] >= THROUGHPUT_BOUND_RPS, _needs_cores),
+    Gate("cache_hit_rate_positive", lambda r: r["cache"]["hit_rate"] > 0),
+    Gate("byte_identical_responses",
+         lambda r: r["byte_identity"]["variant_bodies_identical"]),
+    Gate("all_responses_ok", lambda r: r["load"]["non_200_responses"] == 0),
+)
 
 
 def collect_service_bench(*, clients: int = DEFAULT_CLIENTS,
@@ -210,12 +203,11 @@ def collect_service_bench(*, clients: int = DEFAULT_CLIENTS,
         for status, count in worker.statuses.items():
             statuses[status] = statuses.get(status, 0) + count
     total = len(latencies)
-    report = {
+    return evaluate({
         "clients": clients,
         "requests_per_client": requests_per_client,
         "payload_pool": payload_pool,
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
+        **host_facts(),
         "load": {
             "requests": total,
             "seconds": round(elapsed, 4),
@@ -233,6 +225,4 @@ def collect_service_bench(*, clients: int = DEFAULT_CLIENTS,
         "limiter": limiter_stats,
         "requests_served": served,
         "byte_identity": byte_identity,
-    }
-    report["gates"], report["gates_skipped"] = check_service_gates(report)
-    return report
+    }, SERVICE_GATES)
