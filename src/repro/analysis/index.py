@@ -22,13 +22,13 @@ consume:
   Table 4/5 counting is built on,
 * static script matches and general-API hits per frame.
 
-It also memoizes the registry-dependent helpers (header linting, origin
-parsing, static matching, party classification) in per-index tables that
-are warmed during construction, so analyses sharing one index — including
-the thread fan-out in :func:`repro.analysis.summary.summarize` — only ever
-*read* afterwards.  Parse errors are captured once: a header that fails to
-parse is linted exactly once and every consumer sees the same
-``header_dropped`` report.
+The registry-dependent helpers (header linting, static matching) are
+interned (:func:`~repro.policy.memo.interned`) like the parsers beneath
+them, and origin and party lookups reach the interned URL and site
+parsers of :mod:`repro.policy.origin`; the index keeps no memo table of
+its own, so every cache is bounded and warm across indexes in one
+process.  Parse errors are captured once: a header that fails to parse is
+linted once and every consumer sees the same ``header_dropped`` report.
 
 The per-analysis aggregation loops are deliberately kept structurally
 identical to the pre-index implementations (preserved verbatim in
@@ -45,10 +45,10 @@ from typing import Iterable, Union
 from repro.analysis.parties import Party, script_party
 from repro.browser.api import ApiKind
 from repro.crawler.records import FrameRecord, SiteVisit
-from repro.obs import metrics as _metrics
 from repro.obs.tracing import TRACER
 from repro.policy.allow_attr import AllowAttribute, parse_allow_attribute
 from repro.policy.linter import HeaderLinter, LintReport
+from repro.policy.memo import interned
 from repro.policy.origin import Origin, OriginParseError
 from repro.registry.features import (
     DEFAULT_REGISTRY,
@@ -72,6 +72,7 @@ def _add(table: dict[tuple[int, str], set], key: tuple[int, str],
     entry.add(party)
 
 
+@interned
 def static_matches(source: str, registry: PermissionRegistry
                    ) -> tuple[frozenset[str], bool]:
     """Permissions whose API patterns occur in ``source``, plus whether any
@@ -80,6 +81,15 @@ def static_matches(source: str, registry: PermissionRegistry
     permissions = frozenset(p.name for p in registry.match_api(source))
     general = any(api in source for api in GENERAL_PERMISSION_APIS)
     return permissions, general
+
+
+@interned
+def lint_header(raw: str, registry: PermissionRegistry) -> LintReport:
+    """Lint a ``Permissions-Policy`` header value against ``registry``.
+
+    Never raises: parse failures are captured in the report
+    (``header_dropped``), so a bad header is linted once."""
+    return HeaderLinter(registry).lint(raw)
 
 
 @dataclass
@@ -128,7 +138,7 @@ class DatasetIndex:
         source: A :class:`~repro.crawler.pool.CrawlDataset` (anything with a
             ``successful()`` method) or a plain iterable of
             :class:`~repro.crawler.records.SiteVisit`.
-        registry: Permission registry the memoized helpers use; defaults to
+        registry: Permission registry the interned helpers use; defaults to
             :data:`~repro.registry.features.DEFAULT_REGISTRY`.
     """
 
@@ -139,7 +149,7 @@ class DatasetIndex:
 
     def __init__(self, source: "Union[Iterable[SiteVisit], object]", *,
                  registry: PermissionRegistry | None = None) -> None:
-        self._init_memos(registry)
+        self.registry = registry if registry is not None else DEFAULT_REGISTRY
 
         if hasattr(source, "successful"):
             visits = list(source.successful())
@@ -152,82 +162,23 @@ class DatasetIndex:
         with TRACER.span("analysis.index", visits=len(visits)):
             self.visit_indexes: list[VisitIndex] = [
                 self._index_visit(visit) for visit in visits]
-        if _metrics.COUNTING:
-            registry = _metrics.REGISTRY
-            for table, memo in (("lint", self._lint_memo),
-                                ("origin", self._origin_memo),
-                                ("static", self._static_memo),
-                                ("party", self._party_memo)):
-                registry.gauge(f"index.memo_size.{table}").set(len(memo))
 
-    def _init_memos(self, registry: PermissionRegistry | None) -> None:
-        self.registry = registry if registry is not None else DEFAULT_REGISTRY
-        self._linter = HeaderLinter(self.registry)
-        self._lint_memo: dict[str, LintReport] = {}
-        self._origin_memo: dict[str, Origin | None] = {}
-        self._static_memo: dict[str, tuple[frozenset[str], bool]] = {}
-        self._party_memo: dict[tuple[str | None, str], Party] = {}
-
-    # -- memoized helpers (warmed during construction; read-only after) ------------
+    # -- interned helpers -----------------------------------------------------------
 
     def lint(self, raw: str) -> LintReport:
-        """Lint a ``Permissions-Policy`` header value, once per raw string.
-
-        Parse failures are captured in the report (``header_dropped``), so
-        a bad header is diagnosed exactly once for the whole dataset."""
-        report = self._lint_memo.get(raw)
-        if report is None:
-            report = self._linter.lint(raw)
-            self._lint_memo[raw] = report
-            if _metrics.COUNTING:
-                _metrics.REGISTRY.counter("index.memo_misses.lint").inc()
-        elif _metrics.COUNTING:
-            _metrics.REGISTRY.counter("index.memo_hits.lint").inc()
-        return report
+        """:func:`lint_header` against this index's registry."""
+        return lint_header(raw, self.registry)
 
     def origin(self, url: str) -> Origin | None:
         """Parse a URL's origin; ``None`` for unparseable URLs."""
         try:
-            origin = self._origin_memo[url]
-        except KeyError:
-            try:
-                origin = Origin.parse(url)
-            except OriginParseError:
-                origin = None
-            self._origin_memo[url] = origin
-            if _metrics.COUNTING:
-                _metrics.REGISTRY.counter("index.memo_misses.origin").inc()
-            return origin
-        if _metrics.COUNTING:
-            _metrics.REGISTRY.counter("index.memo_hits.origin").inc()
-        return origin
+            return Origin.parse(url)
+        except OriginParseError:
+            return None
 
     def static(self, source: str) -> tuple[frozenset[str], bool]:
-        """Memoized :func:`static_matches` against this index's registry."""
-        result = self._static_memo.get(source)
-        if result is None:
-            result = static_matches(source, self.registry)
-            self._static_memo[source] = result
-            if _metrics.COUNTING:
-                _metrics.REGISTRY.counter("index.memo_misses.static").inc()
-        elif _metrics.COUNTING:
-            _metrics.REGISTRY.counter("index.memo_hits.static").inc()
-        return result
-
-    def party(self, script_url: str | None, frame_site: str) -> Party:
-        """Memoized first-/third-party classification."""
-        key = (script_url, frame_site)
-        try:
-            party = self._party_memo[key]
-        except KeyError:
-            party = script_party(script_url, frame_site)
-            self._party_memo[key] = party
-            if _metrics.COUNTING:
-                _metrics.REGISTRY.counter("index.memo_misses.party").inc()
-            return party
-        if _metrics.COUNTING:
-            _metrics.REGISTRY.counter("index.memo_hits.party").inc()
-        return party
+        """:func:`static_matches` against this index's registry."""
+        return static_matches(source, self.registry)
 
     # -- the single pass ------------------------------------------------------------
 
@@ -250,14 +201,6 @@ class DatasetIndex:
                 raw = attrs.get("allow")
                 if raw:
                     allow_by_frame[frame.frame_id] = parse_allow_attribute(raw)
-            # Warm header lint + origin for every non-local document that
-            # carries a Permissions-Policy header, so parallel analyses hit
-            # warm memo tables only.
-            if not frame.is_local:
-                pp_raw = frame.headers.get("permissions-policy")
-                if pp_raw is not None:
-                    self.lint(pp_raw)
-                    self.origin(frame.url)
 
         vi = VisitIndex(
             visit=visit,
@@ -272,24 +215,11 @@ class DatasetIndex:
         # … do not artificially inflate the results").
         invoked: dict[tuple[int, str], set[Party]] = {}
         checked: dict[tuple[int, str], set[Party]] = {}
-        party_memo = self._party_memo
         general_kind = _GENERAL_KIND
         status_kind = _STATUS_CHECK_KIND
-        # Hoisted once per visit so the per-call cost when observability is
-        # off stays a local-variable branch.
-        counting = _metrics.COUNTING
-        party_hits = party_misses = 0
         for call in visit.calls:
-            frame = frames_by_id[call.frame_id]
-            key = (call.script_url, frame.site)
-            party = party_memo.get(key)
-            if party is None:
-                party = script_party(call.script_url, frame.site)
-                party_memo[key] = party
-                if counting:
-                    party_misses += 1
-            elif counting:
-                party_hits += 1
+            party = script_party(call.script_url,
+                                 frames_by_id[call.frame_id].site)
             if "featurePolicy" in call.api:
                 vi.any_general_deprecated = True
             kind = call.kind
@@ -305,10 +235,6 @@ class DatasetIndex:
                     _add(invoked, (call.frame_id, permission), party)
         vi.invoked = invoked
         vi.checked = checked
-        if counting and (party_hits or party_misses):
-            registry = _metrics.REGISTRY
-            registry.counter("index.memo_hits.party").inc(party_hits)
-            registry.counter("index.memo_misses.party").inc(party_misses)
 
         static_by_frame: dict[int, frozenset[str]] = {}
         general_by_frame: dict[int, bool] = {}
@@ -328,8 +254,9 @@ class IncrementalIndex(DatasetIndex):
 
     Where :class:`DatasetIndex` materializes every visit and its
     :class:`VisitIndex` up front, this index consumes visits one at a time
-    through :meth:`add` and retains only the memo tables and running
-    totals — a 100k-site store streamed through
+    through :meth:`add` and retains only its registry and two running
+    totals (the helper memos are the bounded interned ones) — a 100k-site
+    store streamed through
     :meth:`~repro.crawler.storage.CrawlStore.iter_visits` never becomes
     resident.  One fold drives it everywhere
     (:class:`repro.analysis.summary._StreamingFold`, used by
@@ -346,7 +273,7 @@ class IncrementalIndex(DatasetIndex):
     streaming = True
 
     def __init__(self, *, registry: PermissionRegistry | None = None) -> None:
-        self._init_memos(registry)
+        self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self.top_level_documents = 0
         self.website_count = 0
 
@@ -364,8 +291,7 @@ class IncrementalIndex(DatasetIndex):
                       top_level_documents: int) -> None:
         """Fold another span's running totals in — the process-parallel
         summarize aggregates disjoint rank spans on worker-local indexes
-        and merges only these two counters (memo tables are pure caches
-        and need no merging)."""
+        and merges only these two counters (the index holds no memo)."""
         self.website_count += website_count
         self.top_level_documents += top_level_documents
 

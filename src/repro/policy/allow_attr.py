@@ -171,12 +171,6 @@ def _parse_allow_attribute_cached(raw: str) -> AllowAttribute:
     return attribute
 
 
-# The public function mirrors the interned wrapper's cache surface so
-# callers (and tests) can keep poking `parse_allow_attribute.cache`.
-parse_allow_attribute.cache = _parse_allow_attribute_cached.cache
-parse_allow_attribute.cache_clear = _parse_allow_attribute_cached.cache_clear
-
-
 def serialize_allow_attribute(entries: dict[str, Allowlist]) -> str:
     """Serialize feature → allowlist pairs into ``allow`` attribute text
     (used by the recommender tool when proposing least-privilege

@@ -189,8 +189,3 @@ def _parse_feature_policy_cached(raw: str) -> ParsedFeaturePolicyHeader:
         result.directives[directive.feature] = allowlist
     result.invalid_tokens = tuple(invalid)
     return result
-
-
-parse_feature_policy_header.cache = _parse_feature_policy_cached.cache
-parse_feature_policy_header.cache_clear = \
-    _parse_feature_policy_cached.cache_clear

@@ -272,13 +272,6 @@ def _parse_permissions_policy_cached(
     return result
 
 
-# The public function mirrors the interned wrapper's cache surface so
-# callers (and tests) can keep poking `parse_permissions_policy_header.cache`.
-parse_permissions_policy_header.cache = _parse_permissions_policy_cached.cache
-parse_permissions_policy_header.cache_clear = \
-    _parse_permissions_policy_cached.cache_clear
-
-
 def serialize_permissions_policy(directives: dict[str, Allowlist]) -> str:
     """Serialize directives back into a header value (used by the header
     generator tool, Figure 4)."""

@@ -11,15 +11,19 @@ the redundant work.
 Safety argument (see DESIGN.md "Analysis engine"):
 
 * **Purity** — ``parse_allow_attribute``, ``parse_permissions_policy_header``,
-  ``parse_feature_policy_header`` and the URL → origin and host → site
-  parsers of :mod:`repro.policy.origin` read nothing but their arguments
-  and global constants; two calls with the same raw string produce equal
-  results.
+  ``parse_feature_policy_header``, the URL → origin and host → site
+  parsers of :mod:`repro.policy.origin`, and the analysis index's
+  :func:`~repro.analysis.index.lint_header` and
+  :func:`~repro.analysis.index.static_matches` read nothing but their
+  arguments and global constants; two calls with the same arguments
+  produce equal results.  The last two take the permission registry as
+  an argument, and a registry hashes by identity, so each registry keeps
+  its own entries.
 * **Effective immutability** — consumers only read the returned
   ``AllowAttribute`` / ``ParsedPolicyHeader`` / ``ParsedFeaturePolicyHeader``
-  objects (enforced by convention and exercised by the differential tests
-  in ``tests/test_analysis_index.py``); :class:`~repro.policy.origin.Origin`
-  is a frozen dataclass.  Opaque origins compare by identity, so they are
+  objects and lint reports (enforced by convention and exercised by
+  the differential tests in ``tests/test_analysis_index.py``);
+  :class:`~repro.policy.origin.Origin` is a frozen dataclass.  Opaque origins compare by identity, so they are
   never cached: :meth:`~repro.policy.origin.Origin.parse` mints a fresh
   one on every call.
 * **Exceptions are never cached** — a parse that raises (e.g.
@@ -39,7 +43,9 @@ limit on a long crawl; after a clear, entries simply re-parse.
 :func:`clear_parser_caches` resets everything —
 benchmarks use it to measure cold-parse cost, and
 :func:`parser_caches_disabled` turns interning off entirely so the legacy
-(pre-index) pipeline can be timed faithfully.
+(pre-index) pipeline can be timed faithfully; it bypasses
+``static_matches`` too, so the legacy arm of the analysis benchmark still
+pays the full cost of matching every script.
 """
 
 from __future__ import annotations

@@ -13,7 +13,12 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.index import DatasetIndex, as_index
+from repro.analysis.index import (
+    DatasetIndex,
+    as_index,
+    lint_header,
+    static_matches,
+)
 from repro.analysis.legacy import (
     LegacyDelegationAnalysis,
     LegacyHeaderAnalysis,
@@ -22,14 +27,26 @@ from repro.analysis.legacy import (
     summarize_legacy,
 )
 from repro.analysis.ranks import DEFAULT_BUCKETS, RankBucketAnalysis
-from repro.analysis.summary import summarize
+from repro.analysis.summary import (
+    _SUMMARY_ANALYSES,
+    _StreamingFold,
+    summarize,
+    summarize_streaming,
+)
 from repro.analysis.usage import UsageAnalysis
 from repro.crawler.pool import CrawlDataset, CrawlerPool
-from repro.policy.allow_attr import parse_allow_attribute
+from repro.crawler.storage import CrawlStore
+from repro.policy.allow_attr import (
+    _parse_allow_attribute_cached,
+    parse_allow_attribute,
+)
 from repro.policy.header import HeaderParseError, parse_permissions_policy_header
 from repro.policy.memo import clear_parser_caches, parser_caches_disabled
+from repro.policy.origin import Origin
+from repro.registry.features import DEFAULT_REGISTRY, PermissionRegistry
 from repro.synthweb.generator import SyntheticWeb
 from tests.test_analysis import make_call, make_frame, make_visit
+from tests.test_golden_digests import _digest
 
 
 def crawl(site_count=250, seed=1):
@@ -159,7 +176,7 @@ class TestParserInterning:
             first = parse_allow_attribute("microphone")
             second = parse_allow_attribute("microphone")
         assert first is not second
-        assert parse_allow_attribute.cache == {}
+        assert _parse_allow_attribute_cached.cache == {}
 
     def test_header_parse_errors_are_never_cached(self):
         clear_parser_caches()
@@ -174,6 +191,62 @@ class TestParserInterning:
         first = parse_permissions_policy_header("camera=self, geolocation=*")
         second = parse_permissions_policy_header("camera=self, geolocation=*")
         assert first is second
+
+
+class TestProcessWideMemos:
+    """The index keeps no memo of its own: its helpers go through the
+    bounded interned caches, which outlive any one index."""
+
+    def test_opaque_origins_stay_distinct(self):
+        index = DatasetIndex([])
+        first, second = index.origin("about:blank"), index.origin("about:blank")
+        assert first.opaque and second.opaque
+        assert first is not second
+        assert not first.same_origin(second)
+        parsed = Origin.parse("about:blank")
+        assert not parsed.same_origin(Origin.parse("about:blank"))
+
+    def test_streaming_index_keeps_only_totals(self):
+        dataset = crawl(site_count=300)
+        fold = _StreamingFold(_SUMMARY_ANALYSES)
+        for visit in dataset.visits:
+            fold.add(visit)
+        assert set(vars(fold.index)) == {
+            "registry", "website_count", "top_level_documents"}
+        assert fold.index.website_count == len(list(dataset.successful()))
+
+    def test_later_summary_matches_cold_one(self, tmp_path):
+        paths = []
+        for seed in (1, 2):
+            path = tmp_path / f"seed-{seed}.sqlite"
+            with CrawlStore(path) as store:
+                CrawlerPool(SyntheticWeb(150, seed=seed),
+                            workers=1).run(store=store)
+                store.flush()
+            paths.append(path)
+
+        def summary_digest(path):
+            with CrawlStore(path) as store:
+                return _digest(dataclasses.asdict(summarize_streaming(store)))
+
+        clear_parser_caches()
+        summary_digest(paths[0])
+        assert lint_header.cache and static_matches.cache
+        warm = summary_digest(paths[1])
+        clear_parser_caches()
+        assert summary_digest(paths[1]) == warm
+
+    def test_static_matches_keyed_by_registry(self):
+        small = PermissionRegistry([DEFAULT_REGISTRY.get("geolocation")])
+        source = "navigator.getBattery(); navigator.geolocation.watchPosition()"
+        clear_parser_caches()
+        full = static_matches(source, DEFAULT_REGISTRY)
+        own = static_matches(source, small)
+        assert full[0] == {"battery", "geolocation"}
+        assert own[0] == {"geolocation"}
+        with parser_caches_disabled():
+            assert own == static_matches(source, small)
+        assert static_matches(source, DEFAULT_REGISTRY) is full
 
 
 class TestRankBucketRegression:

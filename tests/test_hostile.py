@@ -42,6 +42,7 @@ from repro.policy.header import (
     HeaderParseError,
     parse_permissions_policy_header,
 )
+from repro.policy.memo import clear_parser_caches
 from repro.synthweb.generator import SyntheticWeb
 from repro.synthweb.hostile import (
     HostileConfig,
@@ -122,7 +123,7 @@ class TestLenientParsers:
 
     def test_lenient_does_not_pollute_interned_cache(self):
         value = CORPUS[0]
-        parse_permissions_policy_header.cache_clear()
+        clear_parser_caches()
         dropped = parse_permissions_policy_header(value, mode="lenient")
         assert dropped.dropped
         # The failing parse must not be cached as a success...

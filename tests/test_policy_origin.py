@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analysis.index import lint_header, static_matches
 from repro.policy import memo
 from repro.policy.allow_attr import parse_allow_attribute
 from repro.policy.feature_policy import parse_feature_policy_header
@@ -17,6 +18,7 @@ from repro.policy.origin import (
     registrable_domain,
     site_of,
 )
+from repro.registry.features import DEFAULT_REGISTRY
 
 
 class TestOriginParsing:
@@ -258,10 +260,14 @@ class TestOriginMemo:
         for i in range(100):
             url = f"https://h{i}.site{i}.example{i % 7}.org:{8000 + i}/p"
             raw = f"camera 'self'; geolocation https://e{i}.org"
-            expected = [_uncached(Origin.parse, url), _uncached(site_of, url),
-                        _uncached(parse_allow_attribute, raw)]
-            assert [_outcome(Origin.parse, url), _outcome(site_of, url),
-                    _outcome(parse_allow_attribute, raw)] == expected
+            header = f"camera=(self \"https://e{i}.org\"), x{i % 3}=()"
+            source = f"navigator.getBattery(); var v{i} = 1;"
+            calls = [(Origin.parse, url), (site_of, url),
+                     (parse_allow_attribute, raw),
+                     (lint_header, header, DEFAULT_REGISTRY),
+                     (static_matches, source, DEFAULT_REGISTRY)]
+            expected = [_uncached(*call) for call in calls]
+            assert [_outcome(*call) for call in calls] == expected
             parse_permissions_policy_header(f"camera=(self \"https://e{i}.org\")")
             parse_feature_policy_header(f"camera 'self' https://e{i}.org")
             assert all(len(wrapper.cache) <= 8 for wrapper in memo._REGISTRY)
